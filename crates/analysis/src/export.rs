@@ -299,6 +299,7 @@ impl JsonValue {
     /// Returns a [`JsonError`] with the byte offset of the first problem.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -313,6 +314,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -472,13 +474,15 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = text.chars().next().expect("non-empty rest");
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // in one slice. Both are ASCII, so the run ends on a
+                    // char boundary of the `&str` input.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    s.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -1090,9 +1094,8 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
     Ok(ts)
 }
 
-/// An engine self-profile as an object: the aggregate event-core counters,
-/// the per-event-kind breakdown, the per-worker wall-clock profiles
-/// (parallel runs only) and the hub replay time.
+/// An engine self-profile as an object: the aggregate event-core counters
+/// and the per-event-kind breakdown.
 #[must_use]
 pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
     let mut engine = JsonValue::object();
@@ -1116,23 +1119,9 @@ pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
             o
         })
         .collect();
-    let workers = p
-        .workers
-        .iter()
-        .map(|w| {
-            let mut o = JsonValue::object();
-            o.push("worker", JsonValue::UInt(u64::from(w.worker)))
-                .push("epochs", JsonValue::UInt(w.epochs))
-                .push("barrier_wait_ns", JsonValue::UInt(w.barrier_wait_ns))
-                .push("cross_wires", JsonValue::UInt(w.cross_wires));
-            o
-        })
-        .collect();
     let mut o = JsonValue::object();
     o.push("engine", engine)
-        .push("events", JsonValue::Array(events))
-        .push("workers", JsonValue::Array(workers))
-        .push("hub_replay_ns", JsonValue::UInt(p.hub_replay_ns));
+        .push("events", JsonValue::Array(events));
     o
 }
 
@@ -1539,6 +1528,29 @@ mod tests {
     }
 
     #[test]
+    fn parser_round_trips_megabyte_documents() {
+        // Long strings mixing plain runs, every escape the writer emits and
+        // multibyte characters; the parser must stay linear in the input.
+        let chunk = "plain ASCII run, \"quoted\", back\\slash, tab\t, newline\n, \
+                     control\u{1}, µs → ∞, 🚀 emoji; "
+            .repeat(64);
+        let rows = (0..400)
+            .map(|i| {
+                let mut row = JsonValue::object();
+                row.push("id", JsonValue::Int(i))
+                    .push("label", JsonValue::Str(format!("row {i}: {chunk}")))
+                    .push("tail", JsonValue::Str("é".repeat(i as usize)));
+                row
+            })
+            .collect();
+        let doc = JsonValue::Array(rows);
+        for text in [doc.to_compact_string(), doc.to_pretty_string()] {
+            assert!(text.len() >= 1 << 20, "document is {} bytes", text.len());
+            assert_eq!(JsonValue::parse(&text).expect("round-trip parse"), doc);
+        }
+    }
+
+    #[test]
     fn parser_rejects_malformed_documents() {
         for bad in [
             "",
@@ -1577,6 +1589,114 @@ mod tests {
         let err = JsonValue::parse("{\"a\": \x01}").unwrap_err();
         assert!(err.offset > 0);
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn parser_decodes_every_escape_sequence() {
+        let text = r#""q\"b\\s\/n\nr\rt\tb\bf\fu\u00e9\u20AC""#;
+        assert_eq!(
+            JsonValue::parse(text).expect("escapes parse"),
+            JsonValue::Str("q\"b\\s/n\nr\rt\tb\u{8}f\u{c}u\u{e9}\u{20ac}".to_owned())
+        );
+        // Back-to-back escapes with no plain run between them.
+        assert_eq!(
+            JsonValue::parse(r#""\n\n\\\"""#).expect("adjacent escapes parse"),
+            JsonValue::Str("\n\n\\\"".to_owned())
+        );
+        assert_eq!(
+            JsonValue::parse(r#""""#).expect("empty string parses"),
+            JsonValue::Str(String::new())
+        );
+    }
+
+    #[test]
+    fn parser_maps_unpaired_surrogates_to_the_replacement_character() {
+        assert_eq!(
+            JsonValue::parse(r#""\ud83d""#).expect("lone high surrogate"),
+            JsonValue::Str("\u{fffd}".to_owned())
+        );
+        assert_eq!(
+            JsonValue::parse(r#""a\udc00b""#).expect("lone low surrogate"),
+            JsonValue::Str("a\u{fffd}b".to_owned())
+        );
+    }
+
+    #[test]
+    fn parser_keeps_multibyte_characters_next_to_escapes() {
+        let text = "{\"µs\": \"é\\n🚀\\\"ü\", \"∞\": [\"→\", \"\\t€\"]}";
+        let parsed = JsonValue::parse(text).expect("multibyte document parses");
+        assert_eq!(
+            parsed.get("µs").and_then(JsonValue::as_str),
+            Some("é\n🚀\"ü")
+        );
+        assert_eq!(
+            parsed.get("∞"),
+            Some(&JsonValue::Array(vec![
+                JsonValue::Str("→".to_owned()),
+                JsonValue::Str("\t€".to_owned()),
+            ]))
+        );
+    }
+
+    #[test]
+    fn parser_reports_string_errors_at_their_byte_offset() {
+        for (bad, message, offset) in [
+            ("\"abc", "unterminated string", 4),
+            ("\"ab\\", "unterminated escape sequence", 3),
+            ("\"a\\qb\"", "invalid escape sequence", 4),
+            ("\"\\u12\"", "invalid \\u escape", 3),
+            // Offsets count bytes, so a two-byte `é` shifts the error by two.
+            ("\"é\\x\"", "invalid escape sequence", 5),
+            ("{\"a\": \"🚀", "unterminated string", 11),
+        ] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parser_reports_structural_errors_at_their_byte_offset() {
+        for (bad, message, offset) in [
+            ("[1,]", "expected a JSON value", 3),
+            ("1 2", "trailing characters after the document", 2),
+            ("{\"a\" 1}", "expected ':'", 5),
+            ("[1 2]", "expected ',' or ']' in array", 3),
+            ("{\"a\": 1 \"b\"}", "expected ',' or '}' in object", 8),
+            ("{1: 2}", "expected '\"'", 1),
+            ("-01", "leading zeros are not allowed", 1),
+            ("tru", "expected \"true\"", 0),
+        ] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn profile_json_carries_only_engine_and_event_counters() {
+        let worker = apc_trace::WorkerProfile {
+            worker: 0,
+            epochs: 9,
+            barrier_wait_ns: 10,
+            cross_wires: 11,
+        };
+        let report = ProfileReport {
+            workers: vec![worker],
+            hub_replay_ns: 12,
+            ..Default::default()
+        };
+        let JsonValue::Object(entries) = profile_report_json(&report) else {
+            panic!("profile exports as an object");
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["engine", "events"]);
     }
 
     #[test]

@@ -113,10 +113,8 @@ options:
                             (cluster and chain scenarios)
   --duration-ms <n>         override the simulated duration
   --seed <n>                override the root seed
-  --parallelism <n>         pin the worker count (default: host cores; wins
-                            over a spec's `parallelism` key). A single
-                            cluster/chain run with a nonzero-latency
-                            [network] partitions across the workers";
+  --parallelism <n>         run-pool worker count (default: host cores; wins
+                            over a spec's `parallelism` key)";
 
 /// Runs the CLI on `args` (the program name already stripped), returning
 /// the text to print on stdout.

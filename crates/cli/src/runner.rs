@@ -244,11 +244,9 @@ pub fn sweep_grid(spec: &ExperimentSpec) -> Option<Vec<(String, FleetMember)>> {
 }
 
 /// Materialises a parsed spec into an [`ExecutionPlan`]; `parallelism`
-/// pins the worker pool (`None` falls back to the spec's own
-/// `parallelism` knob, then the host). Single cluster/chain runs route the
-/// budget *inside* the simulation — the conservative-lookahead partitioned
-/// path — whenever the `[network]` topology admits it; results are
-/// bit-identical either way.
+/// is the run-pool worker count (`None` falls back to the spec's own
+/// `parallelism` knob, then the host). Results are bit-identical whatever
+/// the worker count.
 #[must_use]
 pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> ExecutionPlan {
     let parallelism = parallelism.or(spec.parallelism);

@@ -16,7 +16,7 @@
 //! seed = 7
 //! duration_ms = 50
 //! repeats = 2               # single/cluster only
-//! parallelism = 4           # worker threads (default: host cores);
+//! parallelism = 4           # run-pool worker count (default: host cores);
 //!                           # `--parallelism` on the command line wins
 //!
 //! [platform]
@@ -562,11 +562,8 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Repeat count (single and cluster kinds only).
     pub repeats: usize,
-    /// Worker-thread pin from the spec itself (`None` sizes the pool to the
-    /// host; an explicit `--parallelism` flag overrides this knob). Besides
-    /// sizing the fleet pools, this is the worker budget of the
-    /// conservative-lookahead partitioned run a single cluster/chain
-    /// experiment takes when its `[network]` topology admits one.
+    /// Run-pool worker count from the spec itself (`None` sizes the pool to
+    /// the host; an explicit `--parallelism` flag overrides this knob).
     pub parallelism: Option<usize>,
     /// Time-series sampling interval, when `[telemetry]` enables the sink.
     pub timeseries_interval: Option<SimDuration>,

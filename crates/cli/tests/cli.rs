@@ -359,6 +359,67 @@ fn network_spec_runs_and_exports_fabric_stats() {
     assert!(csv.contains("two-tier"), "{csv}");
 }
 
+/// `CLUSTER_SPEC` with three repeats routed over a two-tier fabric;
+/// `experiment` adds keys to the `[experiment]` table.
+fn network_cluster_spec(experiment: &str) -> String {
+    let spec = CLUSTER_SPEC.replace(
+        "duration_ms = 5",
+        &format!("duration_ms = 5\nrepeats = 3\n{experiment}"),
+    );
+    format!("{spec}\n[network]\ntopology = \"two-tier\"\nlatency_us = 2\nrack_size = 1\n")
+}
+
+#[test]
+fn fabric_profiles_export_identically_across_pool_sizes() {
+    let spec = Scratch::new("cluster-net-profile.toml");
+    spec.write(&network_cluster_spec(""));
+    let run = |workers: &str| {
+        let flags = [
+            "run",
+            spec.path(),
+            "--format",
+            "json",
+            "--profile",
+            "--parallelism",
+            workers,
+        ];
+        execute(&args(&flags)).unwrap()
+    };
+    let sequential = run("1");
+    assert_eq!(run("3"), sequential);
+    assert_eq!(run("8"), sequential);
+    let parsed = JsonValue::parse(&sequential).expect("output is valid JSON");
+    let repeats = parsed.as_array().expect("cluster JSON is an array");
+    assert_eq!(repeats.len(), 3);
+    for c in repeats {
+        assert!(c.get("network").is_some(), "fabric stats exported");
+        let Some(JsonValue::Object(profile)) = c.get("profile") else {
+            panic!("profile report exported as an object");
+        };
+        let keys: Vec<&str> = profile.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["engine", "events"], "one event loop per run");
+    }
+}
+
+#[test]
+fn spec_parallelism_key_only_sizes_the_run_pool() {
+    let plain = Scratch::new("cluster-net-plain.toml");
+    plain.write(&network_cluster_spec(""));
+    let pooled = Scratch::new("cluster-net-pooled.toml");
+    pooled.write(&network_cluster_spec("parallelism = 4"));
+    let run = |path: &str, extra: &[&str]| {
+        execute(&args(
+            &[&["run", path, "--format", "csv"][..], extra].concat(),
+        ))
+        .unwrap()
+    };
+    let out = run(pooled.path(), &[]);
+    assert_eq!(out, run(plain.path(), &[]));
+    assert!(out.contains("two-tier"), "{out}");
+    // The flag still wins over the key, with the same result.
+    assert_eq!(run(pooled.path(), &["--parallelism", "1"]), out);
+}
+
 #[test]
 fn network_spec_errors_are_line_numbered_usage_errors() {
     // Each bad table: the error names the offending line and exits 2.

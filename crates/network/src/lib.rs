@@ -206,22 +206,6 @@ impl NetworkConfig {
         self.link_latency.is_zero()
             && (self.bandwidth_bytes_per_sec.is_none() || self.rpc_bytes == 0)
     }
-
-    /// The minimum propagation latency of any link this configuration
-    /// resolves to — the conservative **lookahead bound** for parallel
-    /// (partitioned) simulation: every endpoint-to-endpoint path crosses at
-    /// least one link, and store-and-forward queueing plus serialization
-    /// only *add* delay, so every transmission takes at least this long.
-    /// All modelled topologies use one uniform per-link latency, so this is
-    /// simply [`NetworkConfig::link_latency`]; see
-    /// [`Topology::min_link_latency`] for the resolved-link-table form.
-    ///
-    /// A zero bound (any instantaneous or zero-latency configuration)
-    /// admits no lookahead window and forces the sequential event loop.
-    #[must_use]
-    pub fn min_link_latency(&self) -> SimDuration {
-        self.link_latency
-    }
 }
 
 /// One unidirectional link: propagation latency plus optional finite
@@ -518,21 +502,6 @@ impl Topology {
         }
     }
 
-    /// The minimum propagation latency over the resolved link table — the
-    /// conservative lookahead bound for parallel simulation (every path
-    /// crosses at least one link; queueing and serialization only add).
-    /// Agrees with [`NetworkConfig::min_link_latency`] while links carry
-    /// one uniform latency; this form stays correct if per-link latencies
-    /// ever diverge.
-    #[must_use]
-    pub fn min_link_latency(&self) -> SimDuration {
-        self.links
-            .iter()
-            .map(|l| l.latency)
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// The uncontended flight time of one RPC from `src` to `dst`: the sum
     /// over the path's links of propagation latency plus serialization of
     /// the configured payload. Ignores link queueing (see
@@ -789,6 +758,71 @@ mod tests {
     }
 
     #[test]
+    fn reverse_paths_mirror_forward_paths() {
+        for config in [
+            NetworkConfig::flat(SimDuration::from_micros(1)),
+            NetworkConfig::two_tier(SimDuration::from_micros(1), 3),
+            NetworkConfig::fat_tree(SimDuration::from_micros(1), 2, 2, 2.0),
+        ] {
+            let topo = Topology::new(config, 8);
+            for src in 0..topo.endpoints() {
+                for dst in 0..topo.endpoints() {
+                    // Each up link `2k` pairs with the down link `2k + 1`.
+                    let mirrored: Vec<LinkId> = topo
+                        .path(dst, src)
+                        .as_slice()
+                        .iter()
+                        .rev()
+                        .map(|&l| l ^ 1)
+                        .collect();
+                    assert_eq!(
+                        topo.path(src, dst).as_slice(),
+                        mirrored.as_slice(),
+                        "{} ({src},{dst})",
+                        config.topology.name()
+                    );
+                    assert_eq!(topo.flight_latency(src, dst), topo.flight_latency(dst, src));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racks_and_pods_group_consecutive_servers() {
+        let topo = Topology::new(
+            NetworkConfig::fat_tree(SimDuration::from_micros(1), 3, 2, 1.0),
+            12,
+        );
+        let racks: Vec<usize> = (0..12).map(|s| topo.rack_of(s)).collect();
+        assert_eq!(racks, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+        let pods: Vec<usize> = (0..4).map(|r| topo.pod_of(r)).collect();
+        assert_eq!(pods, [0, 0, 1, 1]);
+        assert_eq!(topo.servers(), 12);
+        assert_eq!(topo.client(), 12);
+        assert_eq!(topo.endpoints(), 13);
+    }
+
+    #[test]
+    fn flight_latency_adds_payload_serialization_per_hop() {
+        // 1 GB/s links carrying 500-byte RPCs: 500 ns serialization per hop
+        // on top of the 1 µs propagation latency.
+        let config = NetworkConfig::two_tier(SimDuration::from_micros(1), 4)
+            .with_bandwidth(1_000_000_000)
+            .with_rpc_bytes(500);
+        let topo = Topology::new(config, 8);
+        assert_eq!(topo.path(0, 4).len(), 4);
+        assert_eq!(
+            topo.flight_latency(0, 4),
+            SimDuration::from_nanos(4 * 1_500)
+        );
+        assert_eq!(
+            topo.flight_latency(0, 1),
+            SimDuration::from_nanos(2 * 1_500)
+        );
+        assert_eq!(topo.flight_latency(2, 2), SimDuration::ZERO);
+    }
+
+    #[test]
     fn oversubscription_thins_core_links_only() {
         let topo = Topology::new(
             NetworkConfig::fat_tree(SimDuration::ZERO, 2, 2, 4.0).with_bandwidth(40_000),
@@ -899,28 +933,6 @@ mod tests {
         assert_eq!(topo.link_label(topo.pod_down(1)), "pod1-down");
         let flat = Topology::new(NetworkConfig::ideal(), 2);
         assert_eq!(flat.link_label(flat.links().len() - 1), "client-down");
-    }
-
-    #[test]
-    fn min_link_latency_is_the_lookahead_bound() {
-        let lat = SimDuration::from_micros(3);
-        for config in [
-            NetworkConfig::flat(lat),
-            NetworkConfig::two_tier(lat, 4),
-            NetworkConfig::fat_tree(lat, 2, 2, 4.0).with_bandwidth(40_000),
-        ] {
-            assert_eq!(config.min_link_latency(), lat);
-            let topo = Topology::new(config, 8);
-            assert_eq!(topo.min_link_latency(), lat);
-            // Every transmission takes at least the lookahead bound.
-            let mut net = NetworkState::new(config, 8);
-            let client = net.client();
-            for dst in 0..8 {
-                assert!(net.transmit(client, dst, SimTime::ZERO) >= lat);
-                assert!(net.transmit(dst, client, SimTime::ZERO) >= lat);
-            }
-        }
-        assert_eq!(NetworkConfig::ideal().min_link_latency(), SimDuration::ZERO);
     }
 
     #[test]

@@ -187,6 +187,45 @@ mod tests {
     }
 
     #[test]
+    fn last_marks_the_accounting_point_and_ignores_rewinds() {
+        let start = SimTime::from_millis(3);
+        let mut m = EnergyMeter::new(start);
+        assert_eq!(m.last(), start);
+        m.advance(SimTime::from_millis(8), &power(1.0, 0.0));
+        assert_eq!(m.last(), SimTime::from_millis(8));
+        m.advance(SimTime::from_millis(4), &power(1.0, 0.0));
+        assert_eq!(
+            m.last(),
+            SimTime::from_millis(8),
+            "a rewind moved the meter"
+        );
+        // The window is measured from `start`, not from time zero.
+        assert_eq!(m.elapsed(), SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn every_breakdown_component_integrates_independently() {
+        let p = PowerBreakdown {
+            cores: Watts(1.0),
+            clm: Watts(2.0),
+            io: Watts(3.0),
+            plls: Watts(4.0),
+            uncore_misc: Watts(5.0),
+            dram: Watts(6.0),
+        };
+        let mut m = EnergyMeter::new(SimTime::ZERO);
+        m.advance(SimTime::from_millis(250), &p);
+        let e = m.energy();
+        let got = [e.cores, e.clm, e.io, e.plls, e.uncore_misc, e.dram].map(Joules::as_f64);
+        for (i, j) in got.into_iter().enumerate() {
+            let expected = (i + 1) as f64 * 0.25;
+            assert!((j - expected).abs() < 1e-12, "component {i}: {j} J");
+        }
+        assert!((m.average_soc_power().as_f64() - 15.0).abs() < 1e-9);
+        assert!((m.average_total_power().as_f64() - 21.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn zero_window_average_power_is_zero() {
         let m = EnergyMeter::new(SimTime::ZERO);
         assert_eq!(m.average_soc_power(), Watts::ZERO);

@@ -931,17 +931,8 @@ impl ChainFleet {
     /// Runs every chain cluster to completion — in parallel when the host
     /// allows — returning results in member order, bit-identical to
     /// [`ChainFleet::run_sequential`].
-    ///
-    /// A single-member fleet routes its worker budget *inside* the run: the
-    /// one chain cluster is partitioned per node under the
-    /// conservative-lookahead scheduler (see [`crate::parallel`]) whenever
-    /// its topology admits it — still bit-identical either way.
     #[must_use]
-    pub fn run(mut self) -> Vec<ChainResult> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            return vec![member.run_with_parallelism(self.parallelism)];
-        }
+    pub fn run(self) -> Vec<ChainResult> {
         let workers = effective_workers(self.parallelism, self.members.len());
         run_pool(self.members, workers, ChainMember::run)
     }
@@ -962,15 +953,9 @@ impl ChainFleet {
     /// Returns `emit`'s first error; remaining repeats still run but
     /// nothing further is emitted.
     pub fn run_streamed<E>(
-        mut self,
-        mut emit: impl FnMut(usize, &ChainResult) -> Result<(), E>,
+        self,
+        emit: impl FnMut(usize, &ChainResult) -> Result<(), E>,
     ) -> Result<Vec<ChainResult>, E> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            let result = member.run_with_parallelism(self.parallelism);
-            emit(0, &result)?;
-            return Ok(vec![result]);
-        }
         let workers = effective_workers(self.parallelism, self.members.len());
         run_pool_streamed(self.members, workers, ChainMember::run, emit)
     }

@@ -469,18 +469,8 @@ impl ClusterFleet {
     /// Runs every cluster to completion — in parallel when the host allows —
     /// returning results in member order, bit-identical to
     /// [`ClusterFleet::run_sequential`].
-    ///
-    /// A single-member fleet has no member-level parallelism to exploit, so
-    /// the worker budget moves *inside* the run instead: the one cluster is
-    /// partitioned per node under the conservative-lookahead scheduler (see
-    /// [`crate::parallel`]) whenever its topology admits it — still
-    /// bit-identical either way.
     #[must_use]
-    pub fn run(mut self) -> Vec<ClusterResult> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            return vec![member.run_with_parallelism(self.parallelism)];
-        }
+    pub fn run(self) -> Vec<ClusterResult> {
         let workers = effective_workers(self.parallelism, self.members.len());
         run_pool(self.members, workers, ClusterMember::run)
     }
@@ -501,15 +491,9 @@ impl ClusterFleet {
     /// Returns `emit`'s first error; remaining repeats still run but
     /// nothing further is emitted.
     pub fn run_streamed<E>(
-        mut self,
-        mut emit: impl FnMut(usize, &ClusterResult) -> Result<(), E>,
+        self,
+        emit: impl FnMut(usize, &ClusterResult) -> Result<(), E>,
     ) -> Result<Vec<ClusterResult>, E> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            let result = member.run_with_parallelism(self.parallelism);
-            emit(0, &result)?;
-            return Ok(vec![result]);
-        }
         let workers = effective_workers(self.parallelism, self.members.len());
         run_pool_streamed(self.members, workers, ClusterMember::run, emit)
     }

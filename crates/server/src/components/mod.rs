@@ -215,8 +215,7 @@ pub fn profile_report(
     let mut report = apc_trace::ProfileReport {
         engine: apc_trace::EngineProfile::from_counters(counters),
         events,
-        workers: Vec::new(),
-        hub_replay_ns: 0,
+        ..Default::default()
     };
     report.retain_active_kinds();
     report

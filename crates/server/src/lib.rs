@@ -29,10 +29,6 @@
 //!   that records end-to-end latency and the leaf-straggler gap;
 //! * [`fleet`] — the [`fleet::Fleet`] runner executing many independent
 //!   server instances in parallel and aggregating their results;
-//! * [`parallel`] — the conservative-lookahead parallel event core:
-//!   [`parallel::execution_plan`] decides whether a cluster/chain run can
-//!   partition per node (nonzero minimum link latency = the lookahead),
-//!   and the partitioned run is bit-identical to the sequential loop;
 //! * [`scenario`] — declarative [`scenario::Scenario`] specs plus a library
 //!   of named fleet experiments (diurnal, flash crowd, heterogeneous,
 //!   low-load sweep), cluster-routing scenarios
@@ -63,7 +59,6 @@ pub mod components;
 pub mod config;
 pub mod fleet;
 pub mod node;
-pub mod parallel;
 pub mod result;
 pub mod scenario;
 pub mod sim;
@@ -78,7 +73,6 @@ pub use cluster::{
 pub use config::ServerConfig;
 pub use fleet::{Fleet, FleetMember, FleetResult};
 pub use node::ServerNode;
-pub use parallel::{execution_plan, ExecutionPlan, SequentialReason};
 pub use result::RunResult;
 pub use scenario::{
     ChainScenario, ClusterScenario, MemberGroup, Scenario, ScenarioResult, TrafficPattern,

@@ -1,6 +1,6 @@
 //! Observability-layer tests: request tracing and the engine self-profiler
 //! must never perturb a simulation. Every shape (single, cluster, chain,
-//! parallel) is run twice — observability on and off — and the results,
+//! fabric) is run twice — observability on and off — and the results,
 //! stripped of the trace log and profile report themselves, must be
 //! **bit-identical**. A second group checks the span trees: the pipeline
 //! spans of every traced request are contiguous and sum exactly to its
@@ -127,12 +127,11 @@ fn tracing_never_perturbs_chain_runs() {
     }
 }
 
-/// With a nonzero-latency fabric and a pinned 4-worker budget, the plain
-/// run takes the partitioned parallel path while the traced run falls back
-/// to the sequential loop — the two are bit-identical by the conservative-
-/// lookahead guarantee, so this doubles as a cross-execution-mode check.
+/// Over a nonzero-latency fabric, where every request and leaf report
+/// crosses the wire, tracing must still leave cluster and chain results
+/// bit-identical.
 #[test]
-fn tracing_never_perturbs_parallel_runs() {
+fn tracing_never_perturbs_fabric_runs() {
     let base = ServerConfig::c_pc1a()
         .with_duration(SimDuration::from_millis(20))
         .with_seed(23);
@@ -147,7 +146,7 @@ fn tracing_never_perturbs_parallel_runs() {
             60_000.0,
         )
         .with_network(net)
-        .run_with_parallelism(Some(4))
+        .run()
     };
     let plain = cluster(&base);
     let traced = cluster(&observed(&base));
@@ -155,7 +154,7 @@ fn tracing_never_perturbs_parallel_runs() {
     assert_eq!(
         strip_cluster(traced),
         strip_cluster(plain),
-        "tracing perturbed a parallel cluster run"
+        "tracing perturbed a fabric cluster run"
     );
 
     let graph = RequestGraph::fanout(TierService::frontend(), TierService::memcached_leaf(), 4);
@@ -168,7 +167,7 @@ fn tracing_never_perturbs_parallel_runs() {
             8_000.0,
         )
         .with_network(net)
-        .run_with_parallelism(Some(4))
+        .run()
     };
     let plain = chain(&base);
     let traced = chain(&observed(&base));
@@ -176,15 +175,15 @@ fn tracing_never_perturbs_parallel_runs() {
     assert_eq!(
         strip_chain(traced),
         strip_chain(plain),
-        "tracing perturbed a parallel chain run"
+        "tracing perturbed a fabric chain run"
     );
 }
 
-/// The profiler is passive either way, but its report must be filled in
-/// *both* execution modes (the parallel path merges per-partition engine
-/// counters and adds per-worker rows).
+/// A profiled fabric run comes from the one event loop: the per-kind census
+/// accounts for every dispatched event, and the split-run counters the
+/// report keeps for the benchmark harness stay empty.
 #[test]
-fn parallel_profile_reports_cover_all_workers() {
+fn fabric_profile_reports_come_from_one_event_loop() {
     let base = ServerConfig::c_pc1a()
         .with_duration(SimDuration::from_millis(20))
         .with_seed(23)
@@ -198,16 +197,17 @@ fn parallel_profile_reports_cover_all_workers() {
         60_000.0,
     )
     .with_network(net)
-    .run_with_parallelism(Some(4));
-    let profile = result.profile.expect("parallel profile report");
+    .run();
+    let profile = result.profile.expect("fabric profile report");
     assert!(profile.engine.dispatched > 0);
     assert!(!profile.events.is_empty(), "per-kind census retained");
-    let workers: Vec<u32> = profile.workers.iter().map(|w| w.worker).collect();
-    assert_eq!(workers, [0, 1, 2, 3], "one row per worker, in order");
-    assert!(
-        profile.workers.iter().map(|w| w.epochs).sum::<u64>() > 0,
-        "epoch barrier counts recorded"
+    assert_eq!(
+        profile.events.iter().map(|k| k.dispatched).sum::<u64>(),
+        profile.engine.dispatched,
+        "per-kind census misses dispatched events"
     );
+    assert!(profile.workers.is_empty(), "no worker rows on one loop");
+    assert_eq!(profile.hub_replay_ns, 0);
 }
 
 /// Finds the spans of `trace_id`, keyed by kind.

@@ -59,11 +59,12 @@ impl HeapEventId {
     }
 }
 
-/// Internal heap entry. Ordered by `(time, inserted, seq)` so that events
-/// scheduled for the same instant are delivered in FIFO order — the
-/// `inserted` component only reorders events injected through
-/// [`HeapEventQueue::schedule_backdated`] — which makes simulations
-/// deterministic.
+/// Internal heap entry. Ordered by `(time, inserted, seq)`, where `inserted`
+/// is the simulated instant the event was scheduled at, so that events
+/// scheduled for the same instant are delivered in FIFO order — which makes
+/// simulations deterministic. Since `now` never decreases, `(inserted, seq)`
+/// orders exactly as `seq` alone; the wheel relies on that and keys by
+/// `(time, seq)`, and the differential suite checks the two agree.
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
@@ -196,25 +197,11 @@ impl<E> HeapEventQueue<E> {
     /// it is delivered next, which mirrors how hardware would observe a
     /// "should already have happened" condition immediately.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> HeapEventId {
-        self.schedule_backdated(at, self.now, payload)
-    }
-
-    /// Schedules `payload` at `at` with an explicit FIFO rank: at equal
-    /// timestamps the event orders as if scheduled at instant `inserted`
-    /// (clamped to `at`). Mirrors
-    /// [`EventQueue::schedule_backdated`](crate::engine::EventQueue::schedule_backdated);
-    /// see there for why partitioned drivers need it.
-    pub fn schedule_backdated(
-        &mut self,
-        at: SimTime,
-        inserted: SimTime,
-        payload: E,
-    ) -> HeapEventId {
         let time = if at < self.now { self.now } else { at };
         let id = HeapEventId(self.next_seq);
         let entry = Entry {
             time,
-            inserted: inserted.min(time),
+            inserted: self.now,
             seq: self.next_seq,
             id,
             payload,
@@ -243,13 +230,6 @@ impl<E> HeapEventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.reap_cancelled();
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// The `(timestamp, insertion instant)` key of the next live event, if
-    /// any — the key same-timestamp FIFO order is ranked by.
-    pub fn peek_key(&mut self) -> Option<(SimTime, SimTime)> {
-        self.reap_cancelled();
-        self.heap.peek().map(|e| (e.time, e.inserted))
     }
 
     /// Removes and returns the earliest live event together with its
@@ -336,6 +316,37 @@ mod tests {
         q.schedule(SimTime::from_micros(1), "late");
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_micros(10));
+    }
+
+    #[test]
+    fn ties_inserted_at_different_instants_keep_schedule_order() {
+        let mut q = HeapEventQueue::new();
+        let t = SimTime::from_nanos(100);
+        q.schedule(t, "a");
+        q.schedule(SimTime::from_nanos(50), "step");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(50), "step")));
+        q.schedule(t, "b");
+        q.schedule(SimTime::from_nanos(10), "clamped");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(50), "clamped")));
+        assert_eq!(q.pop(), Some((t, "a")));
+        assert_eq!(q.pop(), Some((t, "b")));
+    }
+
+    #[test]
+    fn compaction_preserves_tie_order() {
+        let mut q = HeapEventQueue::new();
+        let t = SimTime::from_nanos(7);
+        let ids: Vec<_> = (0..64u32).map(|i| q.schedule(t, i)).collect();
+        // Cancel three of every four: dead entries outnumber live ones
+        // twice over, so at least one compaction pass runs.
+        for (i, id) in ids.iter().enumerate() {
+            if i % 4 != 0 {
+                assert!(q.cancel(*id));
+            }
+        }
+        assert!(q.backing_len() < ids.len(), "no compaction ran");
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..64).step_by(4).collect::<Vec<_>>());
     }
 
     #[test]

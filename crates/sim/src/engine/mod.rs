@@ -29,7 +29,6 @@
 //! causality-clamp interleavings.
 
 pub mod heap;
-pub mod partition;
 mod wheel;
 
 pub use heap::{HeapEventId, HeapEventQueue};

@@ -10,7 +10,6 @@
 //! * [`latency`] — end-to-end latency recording (Fig. 5, 7(c));
 //! * [`sketch`] — the bounded-memory relative-error quantile sketch behind
 //!   the latency recorder (1 % error contract, exact merge);
-//! * [`tracer`] — a bounded power-event trace for flow inspection;
 //! * [`timeseries`] — periodic samples of power, residency deltas and queue
 //!   depth over simulated time (the time-domain figures).
 
@@ -22,11 +21,9 @@ pub mod latency;
 pub mod residency;
 pub mod sketch;
 pub mod timeseries;
-pub mod tracer;
 
 pub use idle::IdlePeriodTracker;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use residency::{CoreResidencySet, PackageResidency, StateResidency};
 pub use sketch::{QuantileSketch, SketchParts};
 pub use timeseries::{TimeSeries, TimeSeriesSample};
-pub use tracer::{PowerTracer, TraceEvent};

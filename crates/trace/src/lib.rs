@@ -290,12 +290,9 @@ impl TraceState {
 }
 
 /// Aggregate event-core counters (see [`QueueCounters`] for field semantics).
-///
-/// For parallel runs this is the sum over every partition's event queue;
-/// `max_batch` takes the maximum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineProfile {
-    /// Events scheduled (including backdated cross-partition deposits).
+    /// Events scheduled.
     pub scheduled: u64,
     /// Events dispatched to handlers.
     pub dispatched: u64,
@@ -324,17 +321,6 @@ impl EngineProfile {
             overflow_hits: c.overflow_hits,
         }
     }
-
-    /// Accumulates another queue's counters (partition merge).
-    pub fn merge(&mut self, c: QueueCounters) {
-        self.scheduled += c.scheduled;
-        self.dispatched += c.dispatched;
-        self.cancelled += c.cancelled;
-        self.level0_batches += c.level0_batches;
-        self.batched_events += c.batched_events;
-        self.max_batch = self.max_batch.max(c.max_batch);
-        self.overflow_hits += c.overflow_hits;
-    }
 }
 
 /// Scheduled/dispatched/cancelled counts for one event kind.
@@ -350,10 +336,11 @@ pub struct EventKindCount {
     pub cancelled: u64,
 }
 
-/// Wall-clock profile of one worker thread in a parallel run.
+/// Per-worker counters of a run split across worker threads.
 ///
-/// The `*_ns` fields are host wall-clock measurements: useful for diagnosing
-/// scaling, **never** compared between runs (they are not deterministic).
+/// Every simulation runs on one event loop, so no report ever carries one:
+/// the type stays only because the `perfbench` harness still reads its
+/// fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerProfile {
     /// Worker index.
@@ -374,10 +361,10 @@ pub struct ProfileReport {
     pub engine: EngineProfile,
     /// Per-event-kind counters (empty if the kind classifier was not enabled).
     pub events: Vec<EventKindCount>,
-    /// Per-worker profiles; empty for sequential runs.
+    /// Always empty: every simulation runs on one event loop. Kept only
+    /// because the `perfbench` harness still reads it.
     pub workers: Vec<WorkerProfile>,
-    /// Wall-clock nanoseconds the hub spent planning/replaying epochs
-    /// (parallel runs only; not deterministic, never compared).
+    /// Always zero, for the same reason as [`ProfileReport::workers`].
     pub hub_replay_ns: u64,
 }
 
@@ -409,16 +396,6 @@ impl fmt::Display for ProfileReport {
                 "  {:<18} scheduled {:>10} dispatched {:>10} cancelled {:>10}",
                 kind.kind, kind.scheduled, kind.dispatched, kind.cancelled
             )?;
-        }
-        for w in &self.workers {
-            writeln!(
-                f,
-                "  worker {} epochs {} barrier-wait {} ns cross-wires {}",
-                w.worker, w.epochs, w.barrier_wait_ns, w.cross_wires
-            )?;
-        }
-        if self.hub_replay_ns != 0 {
-            writeln!(f, "  hub replay {} ns", self.hub_replay_ns)?;
         }
         Ok(())
     }
@@ -468,8 +445,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_profile_merges_counters() {
-        let a = QueueCounters {
+    fn engine_profile_lifts_queue_counters() {
+        let c = QueueCounters {
             scheduled: 10,
             dispatched: 8,
             cancelled: 1,
@@ -478,11 +455,19 @@ mod tests {
             max_batch: 3,
             overflow_hits: 2,
         };
-        let mut p = EngineProfile::from_counters(a);
-        p.merge(QueueCounters { max_batch: 5, ..a });
-        assert_eq!(p.scheduled, 20);
-        assert_eq!(p.max_batch, 5);
-        assert_eq!(p.overflow_hits, 4);
+        let p = EngineProfile::from_counters(c);
+        assert_eq!(
+            p,
+            EngineProfile {
+                scheduled: 10,
+                dispatched: 8,
+                cancelled: 1,
+                level0_batches: 4,
+                batched_events: 8,
+                max_batch: 3,
+                overflow_hits: 2,
+            }
+        );
     }
 
     #[test]
@@ -523,18 +508,32 @@ mod tests {
                     cancelled: 0,
                 },
             ],
-            workers: vec![WorkerProfile {
-                worker: 0,
-                epochs: 5,
-                barrier_wait_ns: 10,
-                cross_wires: 2,
-            }],
-            hub_replay_ns: 7,
+            ..Default::default()
         };
         report.retain_active_kinds();
         assert_eq!(report.events.len(), 1);
         let text = report.to_string();
         assert!(text.contains("ServiceDone"));
-        assert!(text.contains("hub replay 7 ns"));
+    }
+
+    #[test]
+    fn profile_report_display_omits_worker_counters() {
+        let worker = WorkerProfile {
+            worker: 0,
+            epochs: 3,
+            barrier_wait_ns: 4,
+            cross_wires: 5,
+        };
+        let report = ProfileReport {
+            workers: vec![worker],
+            hub_replay_ns: 6,
+            ..Default::default()
+        };
+        let text = report.to_string();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(
+            text.starts_with("engine: scheduled 0 dispatched 0"),
+            "{text}"
+        );
     }
 }
