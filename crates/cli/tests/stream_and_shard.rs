@@ -162,6 +162,123 @@ fn streamed_cluster_output_and_timeseries_are_byte_identical_to_buffered() {
     assert_eq!(buffered_ts.read(), via_cluster_ts.read());
 }
 
+/// A two-repeat fan-out chain over a two-tier fabric, recording time
+/// series: the repeat-prefixed node labels, the `net_*` CSV columns and
+/// the chain array shape all appear in one artefact.
+const CHAIN_NET_SPEC: &str = r#"
+[experiment]
+kind = "chain"
+seed = 11
+duration_ms = 4
+repeats = 2
+
+[workload]
+kind = "memcached"
+rate_per_sec = 4_000
+
+[chain]
+nodes = 4
+fanout = 2
+policy = "jsq"
+
+[network]
+topology = "two-tier"
+latency_us = 3
+rack_size = 2
+
+[telemetry]
+sample_interval_us = 1000
+"#;
+
+/// A two-repeat cluster over a flat fabric (CSV: one block of node rows
+/// per repeat, with the `net_*` columns).
+const CLUSTER_NET_SPEC: &str = r#"
+[experiment]
+kind = "cluster"
+seed = 5
+duration_ms = 4
+repeats = 2
+
+[workload]
+kind = "memcached"
+rate_per_sec = 30_000
+
+[cluster]
+nodes = 3
+policy = "round-robin"
+
+[network]
+topology = "flat"
+latency_us = 2
+"#;
+
+/// Runs `spec_text` once through `--out` and once through `--stream-out`
+/// and returns both artefacts.
+fn buffered_and_streamed(name: &str, spec_text: &str, format: &str) -> (String, String) {
+    let spec = Scratch::new(&format!("{name}.toml"));
+    spec.write(spec_text);
+    let buffered = Scratch::new(&format!("{name}-buf.{format}"));
+    let streamed = Scratch::new(&format!("{name}-stream.{format}"));
+    for (flag, out) in [("--out", &buffered), ("--stream-out", &streamed)] {
+        execute(&args(&[
+            "run",
+            spec.path(),
+            "--format",
+            format,
+            flag,
+            out.path(),
+        ]))
+        .unwrap();
+    }
+    (buffered.read(), streamed.read())
+}
+
+#[test]
+fn streamed_chain_output_and_timeseries_are_byte_identical_to_buffered() {
+    for format in ["json", "csv"] {
+        let spec = Scratch::new(&format!("chain-net-{format}.toml"));
+        spec.write(CHAIN_NET_SPEC);
+        let buffered = Scratch::new(&format!("chain-buf.{format}"));
+        let buffered_ts = Scratch::new(&format!("chain-buf-ts-{format}.csv"));
+        let streamed = Scratch::new(&format!("chain-stream.{format}"));
+        let streamed_ts = Scratch::new(&format!("chain-stream-ts-{format}.csv"));
+        for (flag, out, ts) in [
+            ("--out", &buffered, &buffered_ts),
+            ("--stream-out", &streamed, &streamed_ts),
+        ] {
+            execute(&args(&[
+                "run",
+                spec.path(),
+                "--format",
+                format,
+                flag,
+                out.path(),
+                "--timeseries-out",
+                ts.path(),
+            ]))
+            .unwrap();
+        }
+        let artefact = buffered.read();
+        assert_eq!(artefact, streamed.read(), "{format}");
+        let series = buffered_ts.read();
+        assert_eq!(series, streamed_ts.read(), "{format}");
+        assert!(series.contains("\nrepeat 1 node 3,"), "{series}");
+        match format {
+            "json" => assert!(artefact.contains("\"network\""), "{artefact}"),
+            _ => assert!(artefact.lines().next().unwrap().contains("net_"), "{artefact}"),
+        }
+    }
+}
+
+#[test]
+fn streamed_cluster_csv_with_network_and_repeats_is_byte_identical_to_buffered() {
+    let (buffered, streamed) = buffered_and_streamed("cluster-net", CLUSTER_NET_SPEC, "csv");
+    assert_eq!(buffered, streamed);
+    // One header, then 3 node rows per repeat.
+    assert_eq!(buffered.lines().count(), 1 + 2 * 3, "{buffered}");
+    assert!(buffered.lines().next().unwrap().contains("net_"), "{buffered}");
+}
+
 #[test]
 fn stream_out_flag_conflicts_are_usage_errors() {
     let spec = Scratch::new("conflicts.toml");
