@@ -265,7 +265,10 @@ fn streamed_chain_output_and_timeseries_are_byte_identical_to_buffered() {
         assert!(series.contains("\nrepeat 1 node 3,"), "{series}");
         match format {
             "json" => assert!(artefact.contains("\"network\""), "{artefact}"),
-            _ => assert!(artefact.lines().next().unwrap().contains("net_"), "{artefact}"),
+            _ => assert!(
+                artefact.lines().next().unwrap().contains("net_"),
+                "{artefact}"
+            ),
         }
     }
 }
@@ -276,7 +279,10 @@ fn streamed_cluster_csv_with_network_and_repeats_is_byte_identical_to_buffered()
     assert_eq!(buffered, streamed);
     // One header, then 3 node rows per repeat.
     assert_eq!(buffered.lines().count(), 1 + 2 * 3, "{buffered}");
-    assert!(buffered.lines().next().unwrap().contains("net_"), "{buffered}");
+    assert!(
+        buffered.lines().next().unwrap().contains("net_"),
+        "{buffered}"
+    );
 }
 
 #[test]
