@@ -223,7 +223,7 @@ mod tests {
                 20_000.0,
             ));
         }
-        fleet.run()
+        fleet.run().into()
     }
 
     #[test]

@@ -17,7 +17,7 @@ use apc_analysis::export::{
     fleet_csv, run_result_json, run_results_csv, timeseries_csv, JsonValue,
 };
 use apc_server::config::ServerConfig;
-use apc_server::fleet::{Fleet, FleetMember};
+use apc_server::fleet::{Fleet, FleetMember, FleetResult};
 use apc_server::result::RunResult;
 use apc_server::sim::run_experiment;
 use apc_sim::SimDuration;
@@ -150,8 +150,8 @@ fn exports_are_byte_identical_across_sequential_and_parallel_pools() {
         }
         fleet.with_parallelism(workers)
     };
-    let sequential = build(1).run();
-    let parallel = build(8).run();
+    let sequential = FleetResult::from(build(1).run());
+    let parallel = FleetResult::from(build(8).run());
     assert_eq!(fleet_csv(&sequential), fleet_csv(&parallel));
     assert_eq!(
         apc_analysis::export::fleet_result_json(&sequential).to_pretty_string(),

@@ -18,7 +18,7 @@ fn fleet() -> Fleet {
     Fleet::homogeneous(&config, WorkloadSpec::memcached_etc, 50_000.0, MEMBERS)
 }
 
-fn measure(runs: u32, f: impl Fn() -> apc_server::fleet::FleetResult) -> f64 {
+fn measure<R>(runs: u32, f: impl Fn() -> R) -> f64 {
     let start = Instant::now();
     for _ in 0..runs {
         criterion::black_box(f());

@@ -116,6 +116,21 @@ options:
   --parallelism <n>         run-pool worker count (default: host cores; wins
                             over a spec's `parallelism` key)";
 
+/// The flags `run` and `cluster` accept.
+const RUN_FLAGS: [&str; 11] = [
+    "format",
+    "out",
+    "stream-out",
+    "timeseries-out",
+    "trace-out",
+    "profile",
+    "platform",
+    "policy",
+    "duration-ms",
+    "seed",
+    "parallelism",
+];
+
 /// Runs the CLI on `args` (the program name already stripped), returning
 /// the text to print on stdout.
 ///
@@ -129,23 +144,7 @@ pub fn execute(args: &[String]) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage("missing command".to_owned()))?;
     match command.as_str() {
         "list" => cmd_list(&Invocation::parse(rest, &["format"], 0)?),
-        "run" => cmd_run(&Invocation::parse(
-            rest,
-            &[
-                "format",
-                "out",
-                "stream-out",
-                "timeseries-out",
-                "trace-out",
-                "profile",
-                "platform",
-                "policy",
-                "duration-ms",
-                "seed",
-                "parallelism",
-            ],
-            1,
-        )?),
+        "run" => cmd_run(&Invocation::parse(rest, &RUN_FLAGS, 1)?),
         "sweep" => cmd_sweep(&Invocation::parse(
             rest,
             &[
@@ -166,23 +165,7 @@ pub fn execute(args: &[String]) -> Result<String, CliError> {
             &["format", "out", "timeseries-out"],
             1,
         )?),
-        "cluster" => cmd_cluster(&Invocation::parse(
-            rest,
-            &[
-                "format",
-                "out",
-                "stream-out",
-                "timeseries-out",
-                "trace-out",
-                "profile",
-                "platform",
-                "policy",
-                "duration-ms",
-                "seed",
-                "parallelism",
-            ],
-            1,
-        )?),
+        "cluster" => cmd_cluster(&Invocation::parse(rest, &RUN_FLAGS, 1)?),
         "validate" => cmd_validate(&Invocation::parse(rest, &[], 1)?),
         "--help" | "-h" | "help" => Ok(format!("{USAGE}\n")),
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
@@ -386,110 +369,95 @@ fn resolve_target(arg: &str) -> Result<Target, CliError> {
     )))
 }
 
-/// Converts a named fleet scenario into a runnable spec-shaped outcome.
-fn run_scenario(
-    scenario: &Scenario,
-    platform: PlatformKind,
-    duration: Option<SimDuration>,
-    seed: Option<u64>,
-    parallelism: Option<usize>,
-) -> Outcome {
-    let mut scenario = scenario.clone();
-    if let Some(d) = duration {
-        scenario = scenario.with_duration(d);
+/// Runs a named fleet scenario under the invocation's platform (default
+/// CPC1A), duration, seed and parallelism overrides.
+fn run_scenario(inv: &Invocation, scenario: &Scenario) -> Result<Outcome, CliError> {
+    if inv.flag("policy").is_some() {
+        return Err(CliError::Usage(format!(
+            "conflicting flags: `--policy` does not apply to fleet scenario `{}`",
+            scenario.name
+        )));
     }
-    if let Some(s) = seed {
-        scenario = scenario.with_seed(s);
-    }
+    check_timeseries_flag(inv, false)?;
+    check_observability_flags(inv, false, false)?;
+    let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
+    let scenario = override_scenario(
+        inv,
+        scenario.clone(),
+        Scenario::with_duration,
+        Scenario::with_seed,
+    )?;
     let mut fleet = scenario.build_fleet(&platform.config());
-    if let Some(workers) = parallelism {
+    if let Some(workers) = inv.parallelism()? {
         fleet = fleet.with_parallelism(workers);
     }
-    let labels = (0..scenario.servers())
-        .map(|i| format!("server {i}"))
-        .collect();
-    Outcome::Runs {
+    Ok(Outcome::Runs {
         name: format!("{} ({})", scenario.name, platform.name()),
-        labels,
-        fleet: fleet.run(),
-    }
+        labels: (0..scenario.servers())
+            .map(|i| format!("server {i}"))
+            .collect(),
+        fleet: fleet.run().into(),
+    })
 }
 
-fn run_chain_scenario(
-    scenario: &ChainScenario,
-    platform: PlatformKind,
-    policy: RoutingPolicyKind,
-    duration: Option<SimDuration>,
-    seed: Option<u64>,
-    parallelism: Option<usize>,
-) -> Outcome {
-    let mut scenario = scenario.clone();
-    if let Some(d) = duration {
-        scenario = scenario.with_duration(d);
-    }
-    if let Some(s) = seed {
-        scenario = scenario.with_seed(s);
-    }
-    // Route through the ChainFleet pool like the spec path does, so
-    // `--parallelism` means the same thing everywhere.
-    let base = platform
-        .config()
-        .with_duration(scenario.duration)
-        .with_seed(scenario.seed);
-    let mut fleet = apc_server::chain::ChainFleet::new();
-    fleet.push(apc_server::chain::ChainMember::homogeneous(
-        &base,
-        scenario.nodes,
-        policy,
-        scenario.graph.clone(),
-        scenario.chains_per_sec,
-    ));
-    if let Some(workers) = parallelism {
-        fleet = fleet.with_parallelism(workers);
-    }
-    Outcome::Chains {
+/// Runs a named cluster scenario once under the invocation's platform
+/// (default CPC1A), policy (default power-aware), duration and seed
+/// overrides.
+fn run_cluster_scenario(inv: &Invocation, scenario: &ClusterScenario) -> Result<Outcome, CliError> {
+    check_timeseries_flag(inv, false)?;
+    check_observability_flags(inv, false, false)?;
+    let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
+    let policy = inv.policy()?.unwrap_or(RoutingPolicyKind::PowerAware);
+    let scenario = override_scenario(
+        inv,
+        scenario.clone(),
+        ClusterScenario::with_duration,
+        ClusterScenario::with_seed,
+    )?;
+    Ok(Outcome::Clusters {
         name: format!("{} ({}, {})", scenario.name, platform.name(), policy.name()),
-        results: fleet.run(),
-    }
+        results: vec![scenario.run(&platform.config(), policy)],
+    })
 }
 
-fn run_cluster_scenario(
-    scenario: &ClusterScenario,
-    platform: PlatformKind,
-    policy: RoutingPolicyKind,
-    duration: Option<SimDuration>,
-    seed: Option<u64>,
-    parallelism: Option<usize>,
-) -> Outcome {
-    let mut scenario = scenario.clone();
-    if let Some(d) = duration {
-        scenario = scenario.with_duration(d);
-    }
-    if let Some(s) = seed {
-        scenario = scenario.with_seed(s);
-    }
-    // Route through the ClusterFleet pool like the spec path does, so
-    // `--parallelism` means the same thing everywhere (the pool clamps to
-    // the job count — one cluster runs on one worker either way).
-    let base = platform
-        .config()
-        .with_duration(scenario.duration)
-        .with_seed(scenario.seed);
-    let mut fleet = apc_server::cluster::ClusterFleet::new();
-    fleet.push(apc_server::cluster::ClusterMember::homogeneous(
-        &base,
-        scenario.nodes,
-        policy,
-        scenario.workload.spec(),
-        scenario.total_rate_per_sec,
-    ));
-    if let Some(workers) = parallelism {
-        fleet = fleet.with_parallelism(workers);
-    }
-    Outcome::Clusters {
+/// Runs a named chain scenario once (see [`run_cluster_scenario`]; the
+/// default policy is join-shortest-queue).
+fn run_chain_scenario(inv: &Invocation, scenario: &ChainScenario) -> Result<Outcome, CliError> {
+    check_timeseries_flag(inv, false)?;
+    check_observability_flags(inv, false, false)?;
+    let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
+    let policy = inv
+        .policy()?
+        .unwrap_or(RoutingPolicyKind::JoinShortestQueue);
+    let scenario = override_scenario(
+        inv,
+        scenario.clone(),
+        ChainScenario::with_duration,
+        ChainScenario::with_seed,
+    )?;
+    Ok(Outcome::Chains {
         name: format!("{} ({}, {})", scenario.name, platform.name(), policy.name()),
-        results: fleet.run(),
+        results: vec![scenario.run(&platform.config(), policy)],
+    })
+}
+
+/// Applies `--duration-ms` / `--seed` to a named scenario and validates
+/// `--parallelism` (a single cluster or chain is one event loop, so only
+/// fleet scenarios have members to spread over it).
+fn override_scenario<S>(
+    inv: &Invocation,
+    mut scenario: S,
+    with_duration: fn(S, SimDuration) -> S,
+    with_seed: fn(S, u64) -> S,
+) -> Result<S, CliError> {
+    if let Some(d) = inv.duration()? {
+        scenario = with_duration(scenario, d);
     }
+    if let Some(seed) = inv.u64_flag("seed")? {
+        scenario = with_seed(scenario, seed);
+    }
+    inv.parallelism()?;
+    Ok(scenario)
 }
 
 /// Rejects `--timeseries-out` up front when nothing will record a series —
@@ -696,71 +664,10 @@ fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
 fn cmd_run(inv: &Invocation) -> Result<String, CliError> {
     let target = resolve_target(&inv.positional[0])?;
     let outcome = match &target {
-        Target::Spec(spec) => {
-            if inv.flag("platform").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--platform` applies to named scenarios; \
-                     spec files declare their platform in [platform]"
-                        .to_owned(),
-                ));
-            }
-            if inv.flag("policy").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--policy` applies to named cluster/chain scenarios; \
-                     spec files declare their policy in [cluster]/[chain]"
-                        .to_owned(),
-                ));
-            }
-            check_timeseries_flag(inv, spec.timeseries_interval.is_some())?;
-            check_observability_flags(inv, spec.trace.is_some(), true)?;
-            let spec = override_spec(spec, inv)?;
-            if let Some((path, format)) = stream_request(inv)? {
-                return finish_streamed(inv, &spec, path, format);
-            }
-            execute_spec(&spec, inv.parallelism()?)
-        }
-        Target::Scenario(s) => {
-            if inv.flag("policy").is_some() {
-                return Err(CliError::Usage(format!(
-                    "conflicting flags: `--policy` does not apply to fleet scenario `{}`",
-                    s.name
-                )));
-            }
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
-        Target::ClusterScenario(s) => {
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_cluster_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.policy()?.unwrap_or(RoutingPolicyKind::PowerAware),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
-        Target::ChainScenario(s) => {
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_chain_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.policy()?
-                    .unwrap_or(RoutingPolicyKind::JoinShortestQueue),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
+        Target::Spec(spec) => return run_spec(inv, spec),
+        Target::Scenario(s) => run_scenario(inv, s)?,
+        Target::ClusterScenario(s) => run_cluster_scenario(inv, s)?,
+        Target::ChainScenario(s) => run_chain_scenario(inv, s)?,
     };
     finish(inv, &outcome)
 }
@@ -781,14 +688,34 @@ fn cmd_sweep(inv: &Invocation) -> Result<String, CliError> {
     if let Some(shard) = inv.flag("shard") {
         return cmd_sweep_shard(inv, &spec, shard);
     }
+    run_spec(inv, &spec)
+}
+
+/// The spec-file path of `run`, `sweep` and `cluster`: validates the flag
+/// set, applies the overrides, then streams (`--stream-out`) or runs and
+/// renders the spec.
+fn run_spec(inv: &Invocation, spec: &ExperimentSpec) -> Result<String, CliError> {
+    if inv.flag("platform").is_some() {
+        return Err(CliError::Usage(
+            "conflicting flags: `--platform` applies to named scenarios; \
+             spec files declare their platform in [platform]"
+                .to_owned(),
+        ));
+    }
+    if inv.flag("policy").is_some() {
+        return Err(CliError::Usage(
+            "conflicting flags: `--policy` applies to named cluster/chain scenarios; \
+             spec files declare their policy in [cluster]/[chain]"
+                .to_owned(),
+        ));
+    }
     check_timeseries_flag(inv, spec.timeseries_interval.is_some())?;
     check_observability_flags(inv, spec.trace.is_some(), true)?;
-    let spec = override_spec(&spec, inv)?;
+    let spec = override_spec(spec, inv)?;
     if let Some((path, format)) = stream_request(inv)? {
         return finish_streamed(inv, &spec, path, format);
     }
-    let outcome = execute_spec(&spec, inv.parallelism()?);
-    finish(inv, &outcome)
+    finish(inv, &execute_spec(&spec, inv.parallelism()?))
 }
 
 /// Parses a `--shard i/n` spelling.
@@ -845,10 +772,9 @@ fn cmd_sweep_shard(
     if let Some(workers) = inv.parallelism()?.or(spec.parallelism) {
         fleet = fleet.with_parallelism(workers);
     }
-    let result = fleet.run();
     let points = points_meta
         .into_iter()
-        .zip(result.runs)
+        .zip(fleet.run())
         .map(|((index, label), run)| CheckpointPoint { index, label, run })
         .collect();
     let ck = Checkpoint {
@@ -897,27 +823,7 @@ fn cmd_cluster(inv: &Invocation) -> Result<String, CliError> {
                     inv.positional[0]
                 )));
             };
-            if inv.flag("platform").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--platform` applies to named scenarios; \
-                     spec files declare their platform in [platform]"
-                        .to_owned(),
-                ));
-            }
-            if inv.flag("policy").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--policy` applies to named cluster/chain scenarios; \
-                     spec files declare their policy in [cluster]/[chain]"
-                        .to_owned(),
-                ));
-            }
-            check_timeseries_flag(inv, spec.timeseries_interval.is_some())?;
-            check_observability_flags(inv, spec.trace.is_some(), true)?;
-            let spec = override_spec(spec, inv)?;
-            if let Some((path, format)) = stream_request(inv)? {
-                return finish_streamed(inv, &spec, path, format);
-            }
-            execute_spec(&spec, inv.parallelism()?)
+            return run_spec(inv, spec);
         }
         Target::Scenario(s) => {
             return Err(CliError::Input(format!(
@@ -931,18 +837,7 @@ fn cmd_cluster(inv: &Invocation) -> Result<String, CliError> {
                 s.name, s.name
             )))
         }
-        Target::ClusterScenario(s) => {
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_cluster_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.policy()?.unwrap_or(RoutingPolicyKind::PowerAware),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
+        Target::ClusterScenario(s) => run_cluster_scenario(inv, s)?,
     };
     finish(inv, &outcome)
 }

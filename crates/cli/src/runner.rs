@@ -1,21 +1,24 @@
-//! Materialises parsed specs into fleet/cluster runs and formats results.
+//! Materialises parsed specs into fleet/cluster/chain runs and formats
+//! results.
 //!
-//! Every execution path routes through the existing parallel pools:
-//! single, fleet and sweep specs become one [`Fleet`] (one member per
-//! run/grid-point), cluster specs become one [`ClusterFleet`] (one member
-//! per repeat). The pools guarantee member-order, bit-identical results
-//! regardless of worker count, which is what makes `--format json|csv`
-//! output byte-identical between sequential and parallel execution.
+//! Every execution path routes through the one run [`Pool`]: single, fleet
+//! and sweep specs become one [`Fleet`] (one member per run/grid-point),
+//! cluster specs one [`ClusterFleet`] and chain specs one [`ChainFleet`]
+//! (one member per repeat). The pool guarantees member-order,
+//! bit-identical results regardless of worker count, which is what makes
+//! `--format json|csv` output byte-identical between sequential and
+//! parallel execution. JSON and CSV are written by one artefact sink,
+//! either streamed to a file as results finish (`--stream-out`) or replayed
+//! into memory from the finished [`Outcome`] ([`Outcome::render`]).
 
-use apc_analysis::export::{
-    chain_result_json, chain_results_csv, cluster_result_json, cluster_results_csv,
-    fleet_result_json, run_results_csv, timeseries_csv, JsonValue,
-};
+use std::convert::Infallible;
+use std::fmt;
+
 use apc_analysis::report::TextTable;
 use apc_server::chain::{ChainFleet, ChainMember, ChainResult, RequestGraph};
 use apc_server::cluster::{ClusterFleet, ClusterMember, ClusterResult};
 use apc_server::config::ServerConfig;
-use apc_server::fleet::{Fleet, FleetMember, FleetResult};
+use apc_server::fleet::{Fleet, FleetMember, FleetResult, Member, Pool};
 use apc_server::result::RunResult;
 use apc_server::scenario::{TrafficPattern, WorkloadKind};
 use apc_sim::SimDuration;
@@ -23,6 +26,7 @@ use apc_trace::TraceLog;
 use apc_workloads::chain::TierService;
 
 use crate::spec::{ExperimentSpec, PlatformKind, SpecKind};
+use crate::stream_out::{ArtefactSink, Layout};
 
 /// The output format of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,24 +151,9 @@ impl ExecutionPlan {
     /// Executes the plan to completion.
     #[must_use]
     pub fn run(self) -> Outcome {
-        match self {
-            ExecutionPlan::Fleet {
-                name,
-                labels,
-                fleet,
-            } => Outcome::Runs {
-                name,
-                labels,
-                fleet: fleet.run(),
-            },
-            ExecutionPlan::Cluster { name, fleet } => Outcome::Clusters {
-                name,
-                results: fleet.run(),
-            },
-            ExecutionPlan::Chain { name, fleet } => Outcome::Chains {
-                name,
-                results: fleet.run(),
-            },
+        match self.run_streamed(&mut NoSink) {
+            Ok(outcome) => outcome,
+            Err(never) => match never {},
         }
     }
 
@@ -178,42 +167,74 @@ impl ExecutionPlan {
     ///
     /// Propagates the first sink error.
     pub fn run_streamed<E, S: StreamSink<E>>(self, sink: &mut S) -> Result<Outcome, E> {
-        match self {
+        Ok(match self {
             ExecutionPlan::Fleet {
                 name,
                 labels,
                 fleet,
             } => {
-                let fleet = fleet.run_streamed(|i, r| sink.on_run(i, &labels[i], r))?;
-                Ok(Outcome::Runs {
+                let runs = fleet.run_streamed(|i, r| sink.on_run(i, &labels[i], r))?;
+                Outcome::Runs {
                     name,
                     labels,
-                    fleet,
-                })
+                    fleet: runs.into(),
+                }
             }
-            ExecutionPlan::Cluster { name, fleet } => {
-                let results = fleet.run_streamed(|i, c| sink.on_cluster(i, c))?;
-                Ok(Outcome::Clusters { name, results })
-            }
-            ExecutionPlan::Chain { name, fleet } => {
-                let results = fleet.run_streamed(|i, c| sink.on_chain(i, c))?;
-                Ok(Outcome::Chains { name, results })
-            }
+            ExecutionPlan::Cluster { name, fleet } => Outcome::Clusters {
+                name,
+                results: fleet.run_streamed(|i, c| sink.on_cluster(i, c))?,
+            },
+            ExecutionPlan::Chain { name, fleet } => Outcome::Chains {
+                name,
+                results: fleet.run_streamed(|i, c| sink.on_chain(i, c))?,
+            },
+        })
+    }
+
+    /// The result shape this plan produces.
+    pub(crate) fn shape(&self) -> Shape {
+        match self {
+            ExecutionPlan::Fleet { .. } => Shape::Runs,
+            ExecutionPlan::Cluster { .. } => Shape::Clusters,
+            ExecutionPlan::Chain { .. } => Shape::Chains,
         }
     }
 }
 
 /// Observer of streamed execution: one callback per outcome kind, invoked
 /// in member order (see [`ExecutionPlan::run_streamed`]). A plan only ever
-/// calls the callback matching its kind.
+/// calls the callback matching its kind; each defaults to doing nothing.
 pub trait StreamSink<E> {
     /// One run-level result (single/fleet/sweep plans): member index, its
     /// display label and the finished run.
-    fn on_run(&mut self, index: usize, label: &str, run: &RunResult) -> Result<(), E>;
+    fn on_run(&mut self, _index: usize, _label: &str, _run: &RunResult) -> Result<(), E> {
+        Ok(())
+    }
     /// One cluster repeat.
-    fn on_cluster(&mut self, repeat: usize, result: &ClusterResult) -> Result<(), E>;
+    fn on_cluster(&mut self, _repeat: usize, _result: &ClusterResult) -> Result<(), E> {
+        Ok(())
+    }
     /// One chain repeat.
-    fn on_chain(&mut self, repeat: usize, result: &ChainResult) -> Result<(), E>;
+    fn on_chain(&mut self, _repeat: usize, _result: &ChainResult) -> Result<(), E> {
+        Ok(())
+    }
+}
+
+/// The sink of an unobserved run.
+struct NoSink;
+
+impl StreamSink<Infallible> for NoSink {}
+
+/// The three result shapes of an [`ExecutionPlan`] / [`Outcome`], each
+/// with its own artefact layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// Run-level results (single, fleet and sweep specs).
+    Runs,
+    /// Cluster repeats.
+    Clusters,
+    /// Chain repeats.
+    Chains,
 }
 
 /// The full sweep grid of a sweep spec, in declaration order
@@ -250,64 +271,36 @@ pub fn sweep_grid(spec: &ExperimentSpec) -> Option<Vec<(String, FleetMember)>> {
 #[must_use]
 pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> ExecutionPlan {
     let parallelism = parallelism.or(spec.parallelism);
-    match &spec.kind {
-        SpecKind::Single => {
-            let (labels, members) = (0..spec.repeats)
-                .map(|i| {
-                    let seed = repeat_seed(spec.seed, i, spec.repeats);
-                    (format!("run {i}"), spec_member(spec, spec.platform, seed))
-                })
-                .unzip();
-            plan_fleet(spec, labels, members, parallelism)
-        }
-        SpecKind::Fleet { servers } => {
-            let (labels, members) = (0..*servers)
-                .map(|i| {
-                    let seed = Fleet::member_seed(spec.seed, i);
-                    (
-                        format!("server {i}"),
-                        spec_member(spec, spec.platform, seed),
-                    )
-                })
-                .unzip();
-            plan_fleet(spec, labels, members, parallelism)
-        }
-        SpecKind::Sweep { .. } => {
-            let (labels, members) = sweep_grid(spec)
-                .expect("sweep kind has a grid")
-                .into_iter()
-                .unzip();
-            plan_fleet(spec, labels, members, parallelism)
-        }
+    let name = spec.name.clone();
+    let rate = spec.traffic.mean_rate_per_sec();
+    let repeat_bases =
+        || (0..spec.repeats).map(|i| spec_config(spec, spec.platform, repeat_seed(spec, i)));
+    let (labels, members): (Vec<String>, Vec<FleetMember>) = match &spec.kind {
+        SpecKind::Single => (0..spec.repeats)
+            .map(|i| {
+                let member = spec_member(spec, spec.platform, repeat_seed(spec, i));
+                (format!("run {i}"), member)
+            })
+            .unzip(),
+        SpecKind::Fleet { servers } => (0..*servers)
+            .map(|i| {
+                let member = spec_member(spec, spec.platform, Fleet::member_seed(spec.seed, i));
+                (format!("server {i}"), member)
+            })
+            .unzip(),
+        SpecKind::Sweep { .. } => sweep_grid(spec)
+            .expect("sweep kind has a grid")
+            .into_iter()
+            .unzip(),
         SpecKind::Cluster { nodes, policy } => {
-            let mut cluster_fleet = ClusterFleet::new();
-            for i in 0..spec.repeats {
-                let seed = repeat_seed(spec.seed, i, spec.repeats);
-                let base = spec
-                    .platform
-                    .config()
-                    .with_duration(spec.duration)
-                    .with_seed(seed);
-                let base = match spec.timeseries_interval {
-                    Some(every) => base.with_timeseries(every),
-                    None => base,
-                };
-                let base = observe(base, spec);
-                let rate = spec.traffic.mean_rate_per_sec();
-                let mut member =
-                    ClusterMember::homogeneous(&base, *nodes, *policy, spec.workload.spec(), rate);
-                if let Some(net) = spec.network {
-                    member = member.with_network(net);
-                }
-                cluster_fleet.push(member);
-            }
-            if let Some(workers) = parallelism {
-                cluster_fleet = cluster_fleet.with_parallelism(workers);
-            }
-            ExecutionPlan::Cluster {
-                name: spec.name.clone(),
-                fleet: cluster_fleet,
-            }
+            let members = repeat_bases().map(|base| ClusterMember {
+                network: spec.network,
+                ..ClusterMember::homogeneous(&base, *nodes, *policy, spec.workload.spec(), rate)
+            });
+            return ExecutionPlan::Cluster {
+                name,
+                fleet: pool(members, parallelism),
+            };
         }
         SpecKind::Chain {
             nodes,
@@ -317,35 +310,20 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
             leaf_service,
         } => {
             let graph = chain_graph(spec.workload, *fanout, *frontend_service, *leaf_service);
-            let mut chain_fleet = ChainFleet::new();
-            for i in 0..spec.repeats {
-                let seed = repeat_seed(spec.seed, i, spec.repeats);
-                let base = spec
-                    .platform
-                    .config()
-                    .with_duration(spec.duration)
-                    .with_seed(seed);
-                let base = match spec.timeseries_interval {
-                    Some(every) => base.with_timeseries(every),
-                    None => base,
-                };
-                let base = observe(base, spec);
-                let rate = spec.traffic.mean_rate_per_sec();
-                let mut member =
-                    ChainMember::homogeneous(&base, *nodes, *policy, graph.clone(), rate);
-                if let Some(net) = spec.network {
-                    member = member.with_network(net);
-                }
-                chain_fleet.push(member);
-            }
-            if let Some(workers) = parallelism {
-                chain_fleet = chain_fleet.with_parallelism(workers);
-            }
-            ExecutionPlan::Chain {
-                name: spec.name.clone(),
-                fleet: chain_fleet,
-            }
+            let members = repeat_bases().map(|base| ChainMember {
+                network: spec.network,
+                ..ChainMember::homogeneous(&base, *nodes, *policy, graph.clone(), rate)
+            });
+            return ExecutionPlan::Chain {
+                name,
+                fleet: pool(members, parallelism),
+            };
         }
+    };
+    ExecutionPlan::Fleet {
+        name,
+        labels,
+        fleet: pool(members, parallelism),
     }
 }
 
@@ -356,10 +334,30 @@ pub fn execute_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Outcom
     plan_spec(spec, parallelism).run()
 }
 
-/// Applies the spec's observability knobs — `[trace]` and the `--profile`
-/// flag — to a built server config. Neither perturbs the simulation: the
-/// results stay bit-identical with or without them.
-fn observe(mut config: ServerConfig, spec: &ExperimentSpec) -> ServerConfig {
+/// A run pool over `members`, pinned to `parallelism` workers when given.
+fn pool<M: Member>(members: impl IntoIterator<Item = M>, parallelism: Option<usize>) -> Pool<M> {
+    let mut pool = Pool::new();
+    for member in members {
+        pool.push(member);
+    }
+    match parallelism {
+        Some(workers) => pool.with_parallelism(workers),
+        None => pool,
+    }
+}
+
+/// The server config every run of `spec` on `platform` under `seed`
+/// starts from: the platform's, with the spec's duration, the seed, the
+/// `[telemetry]` sampling interval and the observability knobs — `[trace]`
+/// and `--profile`, neither of which perturbs the simulation.
+fn spec_config(spec: &ExperimentSpec, platform: PlatformKind, seed: u64) -> ServerConfig {
+    let mut config = platform
+        .config()
+        .with_duration(spec.duration)
+        .with_seed(seed);
+    if let Some(every) = spec.timeseries_interval {
+        config = config.with_timeseries(every);
+    }
     if let Some(trace) = spec.trace {
         config = config.with_trace(trace);
     }
@@ -372,58 +370,35 @@ fn observe(mut config: ServerConfig, spec: &ExperimentSpec) -> ServerConfig {
 /// The seed of repeat `i`: the root seed itself for a single run (matching
 /// a direct `run_experiment`), else forked per repeat with the canonical
 /// fleet scheme.
-fn repeat_seed(root: u64, i: usize, repeats: usize) -> u64 {
-    if repeats == 1 {
-        root
+fn repeat_seed(spec: &ExperimentSpec, i: usize) -> u64 {
+    if spec.repeats == 1 {
+        spec.seed
     } else {
-        Fleet::member_seed(root, i)
+        Fleet::member_seed(spec.seed, i)
     }
 }
 
 /// Builds one fleet member for `spec` on `platform` under `seed`.
 fn spec_member(spec: &ExperimentSpec, platform: PlatformKind, seed: u64) -> FleetMember {
-    let config = platform
-        .config()
-        .with_duration(spec.duration)
-        .with_seed(seed);
-    let config = match spec.timeseries_interval {
-        Some(every) => config.with_timeseries(every),
-        None => config,
-    };
-    let config = observe(config, spec);
-    let rate = spec.traffic.mean_rate_per_sec();
-    let mut member = FleetMember::new(config, spec.workload.spec(), rate);
+    let config = spec_config(spec, platform, seed);
+    let mut member = FleetMember::new(
+        config,
+        spec.workload.spec(),
+        spec.traffic.mean_rate_per_sec(),
+    );
     if let Some(arrivals) = spec.traffic.arrival_process(spec.duration) {
         member = member.with_arrival_process(arrivals);
     }
     member
 }
 
-fn plan_fleet(
-    spec: &ExperimentSpec,
-    labels: Vec<String>,
-    members: Vec<FleetMember>,
-    parallelism: Option<usize>,
-) -> ExecutionPlan {
-    let mut fleet = Fleet::new();
-    for member in members {
-        fleet.push(member);
-    }
-    if let Some(workers) = parallelism {
-        fleet = fleet.with_parallelism(workers);
-    }
-    ExecutionPlan::Fleet {
-        name: spec.name.clone(),
-        labels,
-        fleet,
-    }
-}
-
 impl Outcome {
-    /// Renders the outcome in `format`.
+    /// Renders the outcome in `format`. JSON and CSV are the `--stream-out`
+    /// artefact replayed into memory, so the two are the same bytes by
+    /// construction.
     #[must_use]
     pub fn render(&self, format: OutputFormat) -> String {
-        match (self, format) {
+        let (name, results) = match (self, format) {
             (
                 Outcome::Runs {
                     name,
@@ -431,76 +406,21 @@ impl Outcome {
                     fleet,
                 },
                 OutputFormat::Table,
-            ) => runs_table(name, labels, &fleet.runs),
-            // The JSON shape is a function of the outcome kind alone, never
-            // of the result count: run-level outcomes are always a fleet
-            // object (even for one run), clusters always an array (even for
-            // one repeat) — consumers keep parsing when a count changes.
-            (Outcome::Runs { labels, fleet, .. }, OutputFormat::Json) => {
-                let mut o = fleet_result_json(fleet);
-                o.push(
-                    "labels",
-                    JsonValue::Array(labels.iter().map(|l| JsonValue::Str(l.clone())).collect()),
-                );
-                o.to_pretty_string()
-            }
-            (Outcome::Runs { labels, fleet, .. }, OutputFormat::Csv) => run_results_csv(
-                labels
-                    .iter()
-                    .map(String::as_str)
-                    .zip(fleet.runs.iter())
-                    .collect::<Vec<_>>(),
+            ) => return runs_table(name, labels, &fleet.runs),
+            (Outcome::Clusters { name, results }, OutputFormat::Table) => (
+                name,
+                results.iter().map(|r| r as &dyn fmt::Display).collect(),
             ),
-            (Outcome::Clusters { name, results }, OutputFormat::Table) => {
-                let mut out = String::new();
-                for (i, result) in results.iter().enumerate() {
-                    if results.len() > 1 {
-                        out.push_str(&format!("== {name} repeat {i} ==\n"));
-                    } else {
-                        out.push_str(&format!("== {name} ==\n"));
-                    }
-                    out.push_str(&format!("{result}\n"));
-                }
-                out
+            (Outcome::Chains { name, results }, OutputFormat::Table) => (
+                name,
+                results.iter().map(|r| r as &dyn fmt::Display).collect(),
+            ),
+            _ => {
+                let (artefact, _) = self.replay(Some(format), false);
+                return artefact.expect("an artefact was requested");
             }
-            (Outcome::Clusters { results, .. }, OutputFormat::Json) => {
-                JsonValue::Array(results.iter().map(cluster_result_json).collect())
-                    .to_pretty_string()
-            }
-            (Outcome::Clusters { results, .. }, OutputFormat::Csv) => cluster_results_csv(results),
-            (Outcome::Chains { name, results }, OutputFormat::Table) => {
-                let mut out = String::new();
-                for (i, result) in results.iter().enumerate() {
-                    if results.len() > 1 {
-                        out.push_str(&format!("== {name} repeat {i} ==\n"));
-                    } else {
-                        out.push_str(&format!("== {name} ==\n"));
-                    }
-                    out.push_str(&format!("{result}\n"));
-                }
-                out
-            }
-            (Outcome::Chains { results, .. }, OutputFormat::Json) => {
-                JsonValue::Array(results.iter().map(chain_result_json).collect()).to_pretty_string()
-            }
-            (Outcome::Chains { results, .. }, OutputFormat::Csv) => chain_results_csv(results),
-        }
-    }
-
-    /// The per-run results with their labels, for time-series extraction.
-    #[must_use]
-    pub fn labelled_runs(&self) -> Vec<(String, &RunResult)> {
-        match self {
-            Outcome::Runs { labels, fleet, .. } => {
-                labels.iter().cloned().zip(fleet.runs.iter()).collect()
-            }
-            Outcome::Clusters { results, .. } => {
-                cluster_node_rows(results.iter().map(|c| &c.nodes).collect())
-            }
-            Outcome::Chains { results, .. } => {
-                cluster_node_rows(results.iter().map(|c| &c.nodes).collect())
-            }
-        }
+        };
+        repeats_table(name, results)
     }
 
     /// Merges every collected request-span log into one (the first log's
@@ -528,44 +448,94 @@ impl Outcome {
         Some(merged)
     }
 
-    /// Renders every recorded time series as one concatenated CSV, or
-    /// `None` when no run recorded one.
+    /// Renders every recorded time series as one concatenated CSV (the
+    /// `--timeseries-out` stream replayed into memory), or `None` when no
+    /// run recorded one.
     #[must_use]
     pub fn timeseries_csv(&self) -> Option<String> {
-        let mut out = String::new();
-        let mut any = false;
-        for (label, run) in self.labelled_runs() {
-            if let Some(ts) = &run.timeseries {
-                let block = timeseries_csv(&label, ts);
-                if any {
-                    // Drop the repeated header; one header tops the file.
-                    out.push_str(block.split_once('\n').map_or("", |(_, rest)| rest));
-                } else {
-                    out.push_str(&block);
-                    any = true;
+        self.replay(None, true).1
+    }
+
+    /// The result shape of this outcome.
+    pub(crate) fn shape(&self) -> Shape {
+        match self {
+            Outcome::Runs { .. } => Shape::Runs,
+            Outcome::Clusters { .. } => Shape::Clusters,
+            Outcome::Chains { .. } => Shape::Chains,
+        }
+    }
+
+    /// Feeds every result to `sink` in member order — what a streamed run
+    /// of the same plan handed it.
+    pub(crate) fn emit<E>(&self, sink: &mut impl StreamSink<E>) -> Result<(), E> {
+        match self {
+            Outcome::Runs { labels, fleet, .. } => {
+                for (i, (label, run)) in labels.iter().zip(&fleet.runs).enumerate() {
+                    sink.on_run(i, label, run)?;
+                }
+            }
+            Outcome::Clusters { results, .. } => {
+                for (i, result) in results.iter().enumerate() {
+                    sink.on_cluster(i, result)?;
+                }
+            }
+            Outcome::Chains { results, .. } => {
+                for (i, result) in results.iter().enumerate() {
+                    sink.on_chain(i, result)?;
                 }
             }
         }
-        any.then_some(out)
+        Ok(())
+    }
+
+    /// Replays the outcome through the artefact sink into memory: the
+    /// `format` artefact when given, and the time series when `series` is
+    /// set (`None` when no run recorded one).
+    fn replay(
+        &self,
+        format: Option<OutputFormat>,
+        series: bool,
+    ) -> (Option<String>, Option<String>) {
+        let (repeats, with_network) = match self {
+            Outcome::Runs { fleet, .. } => (fleet.runs.len(), false),
+            Outcome::Clusters { results, .. } => {
+                (results.len(), results.iter().any(|r| r.network.is_some()))
+            }
+            Outcome::Chains { results, .. } => {
+                (results.len(), results.iter().any(|r| r.network.is_some()))
+            }
+        };
+        let layout = Layout {
+            shape: self.shape(),
+            repeats,
+            with_network,
+        };
+        let in_memory = "writing to memory cannot fail";
+        let mut sink = ArtefactSink::new(
+            format.map(|f| (Vec::new(), f)),
+            series.then(Vec::new),
+            layout,
+        )
+        .expect(in_memory);
+        self.emit(&mut sink).expect(in_memory);
+        let (artefact, series) = sink.finish(self).expect(in_memory);
+        let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("artefacts are UTF-8");
+        (artefact.map(text), series.map(text))
     }
 }
 
-/// Labels the per-node runs of several cluster-shaped results (`node <i>`,
-/// prefixed with the repeat when there is more than one result).
-fn cluster_node_rows(fleets: Vec<&FleetResult>) -> Vec<(String, &RunResult)> {
-    let mut rows = Vec::new();
-    let repeats = fleets.len();
-    for (repeat, fleet) in fleets.into_iter().enumerate() {
-        for (i, r) in fleet.runs.iter().enumerate() {
-            let label = if repeats > 1 {
-                format!("repeat {repeat} node {i}")
-            } else {
-                format!("node {i}")
-            };
-            rows.push((label, r));
+/// The table of a cluster/chain outcome: one titled block per repeat.
+fn repeats_table(name: &str, results: Vec<&dyn fmt::Display>) -> String {
+    let mut out = String::new();
+    for (i, result) in results.iter().enumerate() {
+        if results.len() > 1 {
+            out.push_str(&format!("== {name} repeat {i} ==\n"));
+        } else {
+            out.push_str(&format!("== {name} ==\n"));
         }
+        out.push_str(&format!("{result}\n"));
     }
-    rows
+    out
 }
 
 fn runs_table(name: &str, labels: &[String], runs: &[RunResult]) -> String {

@@ -1,15 +1,16 @@
-//! The `--stream-out` execution path: runs a spec through
-//! [`ExecutionPlan::run_streamed`] and writes each result to disk the
-//! moment it (and every earlier member) finishes.
+//! The artefact sink: the one writer of every JSON/CSV artefact and of the
+//! `--timeseries-out` stream.
 //!
-//! The artefact is byte-identical to `--out` with the same format — the
-//! writers come from [`apc_analysis::stream`], whose contract is exactly
-//! that — so streaming changes *when* bytes appear, never *which* bytes.
-//! A consumer can `tail -f` the file and see complete rows (CSV) or
-//! complete array elements (JSON) as the simulation progresses; memory
-//! stays bounded by the in-flight results instead of the whole run set.
-//! When the spec also records time series, `--timeseries-out` is streamed
-//! the same way, one block per finished run.
+//! [`ArtefactSink`] is a [`StreamSink`] over any [`Write`]. `--stream-out`
+//! drives it with files through [`ExecutionPlan::run_streamed`], writing
+//! each result the moment it (and every earlier member) finishes;
+//! [`Outcome::render`] and [`Outcome::timeseries_csv`] replay a finished
+//! outcome through it into memory. Streamed and buffered artefacts are
+//! therefore the same bytes by construction — streaming changes *when*
+//! bytes appear, never *which* bytes. A consumer can `tail -f` a streamed
+//! file and see complete rows (CSV) or complete array elements (JSON) as
+//! the simulation progresses; memory stays bounded by the in-flight
+//! results instead of the whole run set.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -23,159 +24,223 @@ use apc_server::chain::ChainResult;
 use apc_server::cluster::ClusterResult;
 use apc_server::result::RunResult;
 
-use crate::runner::{ExecutionPlan, Outcome, OutputFormat, StreamSink};
+use crate::runner::{ExecutionPlan, Outcome, OutputFormat, Shape, StreamSink};
 use crate::CliError;
 
-/// A [`Write`] adapter that counts the bytes accepted, so the CLI can
-/// report the streamed file's size without re-reading it.
-struct CountingWriter {
-    inner: BufWriter<File>,
-    bytes: u64,
+/// What fixes an artefact's layout before the first result arrives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    /// The result shape (picks the writer).
+    pub shape: Shape,
+    /// Cluster/chain repeat count: node series are labelled `node <i>`
+    /// for one repeat, `repeat <r> node <i>` for several.
+    pub repeats: usize,
+    /// Whether the runs crossed a network fabric (fixes the CSV column set
+    /// up front; every repeat of one spec shares it).
+    pub with_network: bool,
 }
 
-impl Write for CountingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.bytes += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
+/// The format × shape writer behind the sink.
+enum ArtefactWriter<W: Write> {
+    RunsJson(JsonRunsWriter<W>),
+    ArrayJson(JsonArrayWriter<W>),
+    Csv(CsvWriter<W>),
 }
 
-fn create(path: &str) -> Result<CountingWriter, CliError> {
-    let file =
-        File::create(path).map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
-    Ok(CountingWriter {
-        inner: BufWriter::new(file),
-        bytes: 0,
-    })
-}
-
-/// The format-specific artefact writer behind the sink.
-enum ArtifactWriter {
-    RunsJson(JsonRunsWriter<CountingWriter>),
-    ArrayJson(JsonArrayWriter<CountingWriter>),
-    Csv(CsvWriter<CountingWriter>),
-}
-
-/// Incremental `--timeseries-out` writer: the same concatenation the
-/// buffered [`Outcome::timeseries_csv`] produces (one header line tops the
-/// file), flushed block by block.
-struct TsStream {
-    out: CountingWriter,
-    path: String,
+/// The time-series stream: one header line tops the concatenated blocks.
+struct Series<W> {
+    out: W,
     any: bool,
 }
 
-impl TsStream {
-    fn push(&mut self, label: &str, run: &RunResult) -> Result<(), CliError> {
-        let Some(ts) = &run.timeseries else {
+/// Writes the artefact and the time series of one plan's results as they
+/// are handed over (see the [module docs](self)).
+pub(crate) struct ArtefactSink<W: Write> {
+    artefact: Option<ArtefactWriter<W>>,
+    series: Option<Series<W>>,
+    layout: Layout,
+}
+
+impl<W: Write> ArtefactSink<W> {
+    /// Opens the artefact writer (`Some((out, format))`, JSON or CSV) and
+    /// the time-series stream (`Some(out)`), either of which may be absent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates header write failures.
+    pub(crate) fn new(
+        artefact: Option<(W, OutputFormat)>,
+        series: Option<W>,
+        layout: Layout,
+    ) -> io::Result<Self> {
+        let artefact = match artefact {
+            None => None,
+            Some((out, format)) => Some(match (format, layout.shape) {
+                (OutputFormat::Table, _) => unreachable!("tables are rendered whole"),
+                (OutputFormat::Json, Shape::Runs) => {
+                    ArtefactWriter::RunsJson(JsonRunsWriter::new(out)?)
+                }
+                (OutputFormat::Json, Shape::Clusters | Shape::Chains) => {
+                    ArtefactWriter::ArrayJson(JsonArrayWriter::new(out))
+                }
+                (OutputFormat::Csv, shape) => {
+                    let header = match shape {
+                        Shape::Runs => format!("label,{RUN_CSV_HEADER}\n"),
+                        Shape::Clusters => cluster_csv_header(layout.with_network),
+                        Shape::Chains => chain_csv_header(layout.with_network),
+                    };
+                    ArtefactWriter::Csv(CsvWriter::new(out, &header)?)
+                }
+            }),
+        };
+        Ok(ArtefactSink {
+            artefact,
+            series: series.map(|out| Series { out, any: false }),
+            layout,
+        })
+    }
+
+    /// Closes the artefact document (the fleet object's aggregates come
+    /// from `outcome`, which must be what the sink was handed) and returns
+    /// the artefact writer, and the series writer when some run recorded a
+    /// time series.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub(crate) fn finish(self, outcome: &Outcome) -> io::Result<(Option<W>, Option<W>)> {
+        let artefact = match self.artefact {
+            None => None,
+            Some(ArtefactWriter::RunsJson(w)) => {
+                let Outcome::Runs { labels, fleet, .. } = outcome else {
+                    unreachable!("the fleet-object writer implies a run-level outcome")
+                };
+                Some(w.finish(fleet, Some(labels))?)
+            }
+            Some(ArtefactWriter::ArrayJson(w)) => Some(w.finish()?),
+            Some(ArtefactWriter::Csv(w)) => Some(w.finish()?),
+        };
+        let series = self.series.filter(|s| s.any).map(|s| s.out);
+        Ok((artefact, series))
+    }
+
+    /// Appends `run`'s time series (if it recorded one) under `label`.
+    fn push_series(&mut self, label: &str, run: &RunResult) -> io::Result<()> {
+        let (Some(series), Some(ts)) = (&mut self.series, &run.timeseries) else {
             return Ok(());
         };
         let block = timeseries_csv(label, ts);
-        let text = if self.any {
+        let text = if series.any {
             // Drop the repeated header; one header tops the file.
             block.split_once('\n').map_or("", |(_, rest)| rest)
         } else {
             &block
         };
-        self.any = true;
-        self.out
-            .write_all(text.as_bytes())
-            .and_then(|()| self.out.flush())
-            .map_err(|e| CliError::Io(format!("cannot write `{}`: {e}", self.path)))
-    }
-}
-
-/// The streaming sink: owns the artefact writer (and the optional
-/// time-series stream) for the duration of the run.
-struct Streamer {
-    writer: ArtifactWriter,
-    path: String,
-    ts: Option<TsStream>,
-    /// Repeat count of the plan, for the cluster/chain time-series labels
-    /// (`node <i>` vs `repeat <r> node <i>` — the buffered convention).
-    repeats: usize,
-    /// Whether the spec declared a `[network]` table (fixes the CSV column
-    /// set up front; every repeat of one spec shares it).
-    with_network: bool,
-}
-
-impl Streamer {
-    fn io_err(&self, e: &io::Error) -> CliError {
-        CliError::Io(format!("cannot write `{}`: {e}", self.path))
+        series.any = true;
+        series.out.write_all(text.as_bytes())?;
+        series.out.flush()
     }
 
-    fn node_rows_ts(&mut self, repeat: usize, runs: &[RunResult]) -> Result<(), CliError> {
-        if self.ts.is_none() {
-            return Ok(());
-        }
-        for (i, r) in runs.iter().enumerate() {
-            let label = if self.repeats > 1 {
+    /// Appends the node series of one cluster/chain repeat.
+    fn push_node_series(&mut self, repeat: usize, runs: &[RunResult]) -> io::Result<()> {
+        for (i, run) in runs.iter().enumerate() {
+            let label = if self.layout.repeats > 1 {
                 format!("repeat {repeat} node {i}")
             } else {
                 format!("node {i}")
             };
-            if let Some(ts) = &mut self.ts {
-                ts.push(&label, r)?;
-            }
+            self.push_series(&label, run)?;
         }
         Ok(())
     }
 }
 
-impl StreamSink<CliError> for Streamer {
-    fn on_run(&mut self, _index: usize, label: &str, run: &RunResult) -> Result<(), CliError> {
-        match &mut self.writer {
-            ArtifactWriter::RunsJson(w) => w.push(run),
-            ArtifactWriter::Csv(w) => w.push(&run_csv_line(label, run)),
-            ArtifactWriter::ArrayJson(_) => {
-                unreachable!("run-level plans never stream a top-level array")
+impl<W: Write> StreamSink<io::Error> for ArtefactSink<W> {
+    fn on_run(&mut self, _index: usize, label: &str, run: &RunResult) -> io::Result<()> {
+        match &mut self.artefact {
+            None => {}
+            Some(ArtefactWriter::RunsJson(w)) => w.push(run)?,
+            Some(ArtefactWriter::Csv(w)) => w.push(&run_csv_line(label, run))?,
+            Some(ArtefactWriter::ArrayJson(_)) => {
+                unreachable!("run-level plans never write a top-level array")
             }
         }
-        .map_err(|e| self.io_err(&e))?;
-        if let Some(ts) = &mut self.ts {
-            ts.push(label, run)?;
-        }
-        Ok(())
+        self.push_series(label, run)
     }
 
-    fn on_cluster(&mut self, repeat: usize, result: &ClusterResult) -> Result<(), CliError> {
-        match &mut self.writer {
-            ArtifactWriter::ArrayJson(w) => w.push(&cluster_result_json(result)),
-            ArtifactWriter::Csv(w) => w.push(&cluster_csv_rows(repeat, result, self.with_network)),
-            ArtifactWriter::RunsJson(_) => {
-                unreachable!("cluster plans never stream a fleet object")
+    fn on_cluster(&mut self, repeat: usize, result: &ClusterResult) -> io::Result<()> {
+        let with_network = self.layout.with_network;
+        match &mut self.artefact {
+            None => {}
+            Some(ArtefactWriter::ArrayJson(w)) => w.push(&cluster_result_json(result))?,
+            Some(ArtefactWriter::Csv(w)) => {
+                w.push(&cluster_csv_rows(repeat, result, with_network))?;
+            }
+            Some(ArtefactWriter::RunsJson(_)) => {
+                unreachable!("cluster plans never write a fleet object")
             }
         }
-        .map_err(|e| self.io_err(&e))?;
-        self.node_rows_ts(repeat, &result.nodes.runs)
+        self.push_node_series(repeat, &result.nodes.runs)
     }
 
-    fn on_chain(&mut self, repeat: usize, result: &ChainResult) -> Result<(), CliError> {
-        match &mut self.writer {
-            ArtifactWriter::ArrayJson(w) => w.push(&chain_result_json(result)),
-            ArtifactWriter::Csv(w) => w.push(&chain_csv_row(repeat, result, self.with_network)),
-            ArtifactWriter::RunsJson(_) => {
-                unreachable!("chain plans never stream a fleet object")
+    fn on_chain(&mut self, repeat: usize, result: &ChainResult) -> io::Result<()> {
+        let with_network = self.layout.with_network;
+        match &mut self.artefact {
+            None => {}
+            Some(ArtefactWriter::ArrayJson(w)) => w.push(&chain_result_json(result))?,
+            Some(ArtefactWriter::Csv(w)) => w.push(&chain_csv_row(repeat, result, with_network))?,
+            Some(ArtefactWriter::RunsJson(_)) => {
+                unreachable!("chain plans never write a fleet object")
             }
         }
-        .map_err(|e| self.io_err(&e))?;
-        self.node_rows_ts(repeat, &result.nodes.runs)
+        self.push_node_series(repeat, &result.nodes.runs)
+    }
+}
+
+/// A buffered file that counts the bytes it accepted (so the CLI can report
+/// the streamed file's size without re-reading it) and names its path in
+/// every error.
+struct FileOut {
+    inner: BufWriter<File>,
+    path: String,
+    bytes: u64,
+}
+
+impl FileOut {
+    fn create(path: &str) -> Result<Self, CliError> {
+        let file =
+            File::create(path).map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
+        Ok(FileOut {
+            inner: BufWriter::new(file),
+            path: path.to_owned(),
+            bytes: 0,
+        })
+    }
+
+    fn annotate(&self, e: &io::Error) -> io::Error {
+        io::Error::new(e.kind(), format!("cannot write `{}`: {e}", self.path))
+    }
+}
+
+impl Write for FileOut {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf).map_err(|e| self.annotate(&e))?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush().map_err(|e| self.annotate(&e))
     }
 }
 
 /// Executes `plan`, streaming the rendered artefact to `path` (and the
 /// time series to `ts_path` when given). Returns the completed outcome
-/// (for `--trace-out` and the table the caller may still want) and the
-/// `wrote …` stdout lines.
+/// (for `--trace-out`) and the `wrote …` stdout lines.
 ///
 /// The caller has already rejected `--format table` and validated the
 /// flag set; `repeats` and `with_network` describe the spec (see
-/// [`Streamer`]).
+/// [`Layout`]).
 ///
 /// # Errors
 ///
@@ -188,61 +253,28 @@ pub(crate) fn execute_plan_streamed(
     repeats: usize,
     with_network: bool,
 ) -> Result<(Outcome, String), CliError> {
-    let out = create(path)?;
-    let io_err = |e: &io::Error| CliError::Io(format!("cannot write `{path}`: {e}"));
-    let writer = match (&plan, format) {
-        (_, OutputFormat::Table) => unreachable!("the caller rejects `--format table`"),
-        (ExecutionPlan::Fleet { .. }, OutputFormat::Json) => {
-            ArtifactWriter::RunsJson(JsonRunsWriter::new(out).map_err(|e| io_err(&e))?)
-        }
-        (ExecutionPlan::Fleet { .. }, OutputFormat::Csv) => ArtifactWriter::Csv(
-            CsvWriter::new(out, &format!("label,{RUN_CSV_HEADER}\n")).map_err(|e| io_err(&e))?,
-        ),
-        (ExecutionPlan::Cluster { .. } | ExecutionPlan::Chain { .. }, OutputFormat::Json) => {
-            ArtifactWriter::ArrayJson(JsonArrayWriter::new(out))
-        }
-        (ExecutionPlan::Cluster { .. }, OutputFormat::Csv) => ArtifactWriter::Csv(
-            CsvWriter::new(out, &cluster_csv_header(with_network)).map_err(|e| io_err(&e))?,
-        ),
-        (ExecutionPlan::Chain { .. }, OutputFormat::Csv) => ArtifactWriter::Csv(
-            CsvWriter::new(out, &chain_csv_header(with_network)).map_err(|e| io_err(&e))?,
-        ),
-    };
-    let ts = ts_path
-        .map(|p| {
-            Ok::<TsStream, CliError>(TsStream {
-                out: create(p)?,
-                path: p.to_owned(),
-                any: false,
-            })
-        })
-        .transpose()?;
-    let mut sink = Streamer {
-        writer,
-        path: path.to_owned(),
-        ts,
+    let layout = Layout {
+        shape: plan.shape(),
         repeats,
         with_network,
     };
-    let outcome = plan.run_streamed(&mut sink)?;
-    let finished = match (sink.writer, &outcome) {
-        (ArtifactWriter::RunsJson(w), Outcome::Runs { labels, fleet, .. }) => {
-            w.finish(fleet, Some(labels)).map_err(|e| io_err(&e))?
-        }
-        (ArtifactWriter::RunsJson(_), _) => unreachable!("fleet writer implies a runs outcome"),
-        (ArtifactWriter::ArrayJson(w), _) => w.finish().map_err(|e| io_err(&e))?,
-        (ArtifactWriter::Csv(w), _) => w.finish().map_err(|e| io_err(&e))?,
-    };
-    let mut stdout = format!("wrote {path} ({} bytes)\n", finished.bytes);
-    if let Some(ts) = sink.ts {
-        if !ts.any {
+    let out = FileOut::create(path)?;
+    let series = ts_path.map(FileOut::create).transpose()?;
+    let io_err = |e: io::Error| CliError::Io(e.to_string());
+    let mut sink = ArtefactSink::new(Some((out, format)), series, layout).map_err(io_err)?;
+    let outcome = plan.run_streamed(&mut sink).map_err(io_err)?;
+    let (out, series) = sink.finish(&outcome).map_err(io_err)?;
+    let out = out.expect("an artefact was requested");
+    let mut stdout = format!("wrote {path} ({} bytes)\n", out.bytes);
+    if let Some(ts_path) = ts_path {
+        let Some(series) = series else {
             return Err(CliError::Usage(
                 "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
                  (no run recorded a time series)"
                     .to_owned(),
             ));
-        }
-        stdout.push_str(&format!("wrote {} ({} bytes)\n", ts.path, ts.out.bytes));
+        };
+        stdout.push_str(&format!("wrote {ts_path} ({} bytes)\n", series.bytes));
     }
     Ok((outcome, stdout))
 }

@@ -62,26 +62,23 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use apc_sim::component::Simulation;
+use apc_network::{NetworkConfig, NetworkStats};
+use apc_sim::component::{EventHandler, SimulationContext};
 use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
 use apc_telemetry::latency::{LatencyRecorder, LatencySummary};
-use apc_trace::{ProfileReport, Span, SpanKind, TraceCtx, TraceLog, TraceState};
+use apc_trace::{ProfileReport, Span, SpanKind, TraceCtx, TraceLog};
 use apc_workloads::arrival::{ArrivalProcess, PoissonArrivals};
 use apc_workloads::chain::TierService;
 use apc_workloads::request::{ChainTag, Request, RequestId};
 
-use apc_sim::component::{EventHandler, SimulationContext};
-
-use apc_network::{NetworkConfig, NetworkStats};
-
 use crate::balancer::{RoutingPolicy, RoutingPolicyKind};
-use crate::components::fabric::{deliver_routed, Fabric, FabricState};
+use crate::components::fabric::deliver_routed;
 use crate::components::state::{ClusterState, HasNode};
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
-use crate::fleet::{effective_workers, run_pool, run_pool_streamed, Fleet, FleetResult};
-use crate::node::{NodeHandles, ServerNode};
+use crate::fleet::{member_configs, FleetResult, Member, Pool};
+use crate::multinode::{routing_imbalance, Front, MultiNode, NodeLoad};
 
 /// One tier of a request chain: `width` parallel RPCs drawn from one
 /// service-time spec, joined by wait-for-all before the next tier starts.
@@ -529,11 +526,8 @@ impl EventHandler<ServerEvent, ClusterState> for ChainCoordinator {
 
 /// N complete servers and a chain coordinator sharing one event loop.
 pub struct ChainSimulation {
-    sim: Simulation<ServerEvent, ClusterState>,
-    nodes: Vec<NodeHandles>,
+    core: MultiNode,
     coordinator: Rc<RefCell<ChainCoordinator>>,
-    end_at: SimTime,
-    profile: bool,
 }
 
 impl ChainSimulation {
@@ -579,134 +573,66 @@ impl ChainSimulation {
         chains_per_sec: f64,
         network: Option<NetworkConfig>,
     ) -> Self {
-        assert!(
-            !configs.is_empty(),
-            "a chain cluster needs at least one node"
-        );
-        let duration = configs[0].duration;
-        assert!(
-            configs.iter().all(|c| c.duration == duration),
-            "every chain-cluster node must share one measurement duration"
-        );
-        let node_count = configs.len();
-        let end_at = SimTime::ZERO + duration;
-        // Observability is a cluster-level concern (one sampler, one span
-        // log, one event loop to profile): the first node's config decides.
-        let trace_config = configs[0].trace;
-        let profile = configs[0].profile;
-
-        let mut state = ClusterState::new(configs);
         // Each node's nominal offered rate is its share of the cluster-wide
-        // RPC rate (chains/sec × RPCs per chain ÷ N); the routed census is
-        // the actual per-node count. Chain RPCs travel the internal fabric,
-        // so no client network RTT is added to per-RPC node latency.
-        let rpc_rate = chains_per_sec * graph.rpcs_per_chain() as f64;
-        for node in &mut state.nodes {
-            node.workload_name = "chain";
-            node.offered_rate = rpc_rate / node_count as f64;
-            node.network_rtt = SimDuration::ZERO;
-        }
-
-        let mut sim = Simulation::new(seed, state);
-        let builders: Vec<ServerNode> = (0..node_count).map(ServerNode::new).collect();
-        let nodes: Vec<NodeHandles> = builders
-            .iter()
-            .map(|b| b.register(&mut sim, None))
-            .collect();
+        // RPC rate (chains/sec × RPCs per chain); the routed census is the
+        // actual per-node count. Chain RPCs travel the internal fabric, so
+        // no client network RTT is added to per-RPC node latency.
+        let load = NodeLoad {
+            workload: "chain",
+            total_rate: chains_per_sec * graph.rpcs_per_chain() as f64,
+            network_rtt: SimDuration::ZERO,
+        };
         let coordinator = Rc::new(RefCell::new(ChainCoordinator::new(
             graph,
             chains_per_sec,
             policy,
-            node_count,
+            configs.len(),
             seed,
         )));
-        let coordinator_id = sim.add_component("chain-coordinator", Rc::clone(&coordinator));
-        // The coordinator deposits RPCs into node NIC buffers (on arrivals
-        // *and* on joins that issue the next tier), so every node's power
-        // observer must also watch it — the same dispatch-observer routing
-        // the cluster balancer uses (see `crate::cluster::ClusterSimulation`,
-        // including why the package observers stay unsubscribed).
-        // As in the cluster simulation, the fabric registers even when no
-        // network is configured (name-forked RNG stream, zero events — the
-        // no-network event sequence is untouched) and the power observers
-        // watch its NIC-buffer deposits.
-        let fabric_id = sim.add_component("fabric", Fabric);
-        for handles in &nodes {
-            sim.add_observer_target(handles.power, coordinator_id);
-            sim.add_observer_target(handles.power, fabric_id);
-        }
-        sim.shared_mut().fabric =
-            network.map(|config| FabricState::new(config, node_count, fabric_id));
-        sim.shared_mut().trace = trace_config
-            .map(|config| TraceState::new(config, SimRng::from_seed(seed).fork("trace-sampler")));
-        if profile {
-            sim.enable_event_profile(ServerEvent::KIND_COUNT, ServerEvent::kind);
-        }
-        // Bootstrap in the cluster order: the first root arrival, then every
-        // node's background timers / initial idle entries / power sampling.
-        let first_arrival = coordinator.borrow().first_arrival();
-        sim.schedule(coordinator_id, first_arrival, ServerEvent::ChainArrival);
-        for (builder, handles) in builders.iter().zip(&nodes) {
-            builder.bootstrap(&mut sim, handles);
-        }
-
+        let front = Front {
+            name: "chain-coordinator",
+            handler: Rc::clone(&coordinator),
+            first_arrival: coordinator.borrow().first_arrival(),
+            arrival: ServerEvent::ChainArrival,
+        };
         ChainSimulation {
-            sim,
-            nodes,
+            core: MultiNode::new(seed, configs, &load, front, network),
             coordinator,
-            end_at,
-            profile,
         }
     }
 
     /// Number of server nodes in the cluster.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.core.node_count()
     }
 
     /// Read access to the shared cluster state (for tests and tracing).
     #[must_use]
     pub fn state(&self) -> &ClusterState {
-        self.sim.shared()
+        self.core.simulation().shared()
     }
 
     /// Runs the cluster to the horizon and reduces chain telemetry plus
     /// per-node power/residency into a [`ChainResult`].
     #[must_use]
-    pub fn run(mut self) -> ChainResult {
-        let events_dispatched = self.sim.run_until(self.end_at);
-        let end = self.end_at;
-        let network = self
-            .sim
-            .shared()
-            .fabric
-            .as_ref()
-            .map(|f| f.net.stats().clone());
-        let profile = self.profile.then(|| {
-            crate::components::profile_report(self.sim.queue_counters(), self.sim.event_profile())
-        });
-        let runs = self
-            .nodes
-            .iter()
-            .map(|handles| handles.collect_result(self.sim.shared_mut(), end))
-            .collect();
-        let trace = self.sim.shared_mut().trace.take().map(TraceState::into_log);
+    pub fn run(self) -> ChainResult {
+        let run = self.core.run();
         let stats = self.coordinator.borrow_mut().stats();
         ChainResult {
             policy: stats.policy,
             graph: stats.graph,
-            duration: self.end_at.saturating_since(SimTime::ZERO),
+            duration: run.duration,
             chains_started: stats.chains_started,
             chains_completed: stats.chains_completed,
             chain_latency: stats.chain_latency,
             straggler: stats.straggler,
             routed: stats.routed,
-            network,
-            events_dispatched,
-            trace,
-            profile,
-            nodes: FleetResult { runs },
+            network: run.network,
+            events_dispatched: run.events_dispatched,
+            trace: run.trace,
+            profile: run.profile,
+            nodes: run.nodes,
         }
     }
 }
@@ -742,8 +668,8 @@ pub struct ChainResult {
     /// Wire-delay statistics of the network fabric, when one was configured
     /// (`None` for the instantaneous-deposit path).
     pub network: Option<NetworkStats>,
-    /// Events the cluster's event loop dispatched to reach the horizon
-    /// (identical for sequential and parallel executions of the same run).
+    /// Total simulation events dispatched by the run's single event loop
+    /// (every node, the coordinator and the fabric).
     pub events_dispatched: u64,
     /// Span log of head-sampled chains, when tracing was configured (see
     /// [`crate::config::ServerConfig::trace`]; the first node's config
@@ -778,13 +704,7 @@ impl ChainResult {
     /// (1.0 = perfectly even).
     #[must_use]
     pub fn routing_imbalance(&self) -> f64 {
-        let total = self.total_routed();
-        if total == 0 || self.routed.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.routed.len() as f64;
-        let max = self.routed.iter().copied().max().unwrap_or(0) as f64;
-        max / mean
+        routing_imbalance(&self.routed)
     }
 }
 
@@ -839,8 +759,8 @@ pub struct ChainMember {
 
 impl ChainMember {
     /// A chain cluster of `n` nodes sharing `base`'s platform, with node
-    /// seeds derived by the canonical [`Fleet::member_seed`] scheme from
-    /// `base`'s seed, executing `graph` at `chains_per_sec` under `policy`.
+    /// seeds derived by the canonical [`crate::fleet::Fleet::member_seed`]
+    /// scheme from `base`'s seed, executing `graph` at `chains_per_sec` under `policy`.
     #[must_use]
     pub fn homogeneous(
         base: &ServerConfig,
@@ -850,9 +770,7 @@ impl ChainMember {
         chains_per_sec: f64,
     ) -> Self {
         ChainMember {
-            nodes: (0..n)
-                .map(|i| base.clone().with_seed(Fleet::member_seed(base.seed, i)))
-                .collect(),
+            nodes: member_configs(base, n),
             policy,
             graph,
             chains_per_sec,
@@ -884,82 +802,18 @@ impl ChainMember {
     }
 }
 
+impl Member for ChainMember {
+    type Output = ChainResult;
+
+    fn run(self) -> ChainResult {
+        ChainMember::run(self)
+    }
+}
+
 /// A set of independent chain simulations run as one experiment — e.g. the
 /// same chain cluster under every platform, or a platform under every
-/// routing policy. Members execute on the same deterministic worker pool as
-/// [`Fleet::run`], so a parallel run is bit-identical to
-/// [`ChainFleet::run_sequential`].
-#[derive(Debug, Default)]
-pub struct ChainFleet {
-    members: Vec<ChainMember>,
-    parallelism: Option<usize>,
-}
-
-impl ChainFleet {
-    /// An empty chain fleet.
-    #[must_use]
-    pub fn new() -> Self {
-        ChainFleet::default()
-    }
-
-    /// Adds one chain cluster to the fleet.
-    pub fn push(&mut self, member: ChainMember) -> &mut Self {
-        self.members.push(member);
-        self
-    }
-
-    /// Number of chain clusters in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` when the fleet has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Pins the number of worker threads [`ChainFleet::run`] may use
-    /// (`1` forces the sequential path); see [`Fleet::with_parallelism`].
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Runs every chain cluster to completion — in parallel when the host
-    /// allows — returning results in member order, bit-identical to
-    /// [`ChainFleet::run_sequential`].
-    #[must_use]
-    pub fn run(self) -> Vec<ChainResult> {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool(self.members, workers, ChainMember::run)
-    }
-
-    /// Runs every chain cluster back-to-back on the calling thread.
-    #[must_use]
-    pub fn run_sequential(self) -> Vec<ChainResult> {
-        self.members.into_iter().map(ChainMember::run).collect()
-    }
-
-    /// Like [`ChainFleet::run`], but invokes `emit(i, &result)` once per
-    /// repeat, in member order, as soon as repeat `i` and all its
-    /// predecessors have finished (the CLI's `--stream-out` hook). Results
-    /// are bit-identical to [`ChainFleet::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns `emit`'s first error; remaining repeats still run but
-    /// nothing further is emitted.
-    pub fn run_streamed<E>(
-        self,
-        emit: impl FnMut(usize, &ChainResult) -> Result<(), E>,
-    ) -> Result<Vec<ChainResult>, E> {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool_streamed(self.members, workers, ChainMember::run, emit)
-    }
-}
+/// routing policy — on the deterministic [`Pool`].
+pub type ChainFleet = Pool<ChainMember>;
 
 /// Convenience: run one homogeneous chain experiment (see
 /// [`ChainMember::homogeneous`] for the seed-derivation scheme).

@@ -48,27 +48,22 @@ use std::rc::Rc;
 
 use apc_network::{NetworkConfig, NetworkStats};
 use apc_sim::component::Simulation;
-use apc_sim::rng::SimRng;
-use apc_sim::{SimDuration, SimTime};
-use apc_trace::{ProfileReport, TraceLog, TraceState};
+use apc_sim::SimDuration;
+use apc_trace::{ProfileReport, TraceLog};
 use apc_workloads::loadgen::LoadGenerator;
 use apc_workloads::spec::WorkloadSpec;
 
 use crate::balancer::{Balancer, RoutingPolicy, RoutingPolicyKind};
-use crate::components::fabric::{Fabric, FabricState};
 use crate::components::state::ClusterState;
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
-use crate::fleet::{effective_workers, run_pool, run_pool_streamed, Fleet, FleetResult};
-use crate::node::{NodeHandles, ServerNode};
+use crate::fleet::{member_configs, FleetResult, Member, Pool};
+use crate::multinode::{routing_imbalance, Front, MultiNode, NodeLoad};
 
 /// N complete servers and a load balancer sharing one event loop.
 pub struct ClusterSimulation {
-    sim: Simulation<ServerEvent, ClusterState>,
-    nodes: Vec<NodeHandles>,
+    core: MultiNode,
     balancer: Rc<RefCell<Balancer>>,
-    end_at: SimTime,
-    profile: bool,
 }
 
 impl ClusterSimulation {
@@ -115,134 +110,63 @@ impl ClusterSimulation {
         loadgen: LoadGenerator,
         network: Option<NetworkConfig>,
     ) -> Self {
-        assert!(!configs.is_empty(), "a cluster needs at least one node");
-        let duration = configs[0].duration;
-        assert!(
-            configs.iter().all(|c| c.duration == duration),
-            "every cluster node must share one measurement duration"
-        );
-        let node_count = configs.len();
-        let end_at = SimTime::ZERO + duration;
-        // Observability is a cluster-level concern (one sampler, one span
-        // log, one event loop to profile): the first node's config decides.
-        let trace_config = configs[0].trace;
-        let profile = configs[0].profile;
-
-        let mut state = ClusterState::new(configs);
         // Each node's recorded `offered_rate` is the *nominal* per-node share
-        // of the cluster rate (total / N), mirroring how a standalone server
-        // records its loadgen's nominal rate. Non-uniform policies route more
-        // or less than this to individual nodes — the actual census is
-        // [`ClusterResult::routed`] (divide by the duration for the achieved
-        // per-node offered rate).
-        let per_node_rate = loadgen.rate_per_sec() / node_count as f64;
-        for node in &mut state.nodes {
-            node.workload_name = loadgen.spec().name;
-            node.offered_rate = per_node_rate;
-            node.network_rtt = loadgen.spec().network_rtt;
-        }
+        // of the cluster rate, mirroring how a standalone server records its
+        // loadgen's nominal rate. Non-uniform policies route more or less
+        // than this to individual nodes — the actual census is
+        // [`ClusterResult::routed`].
+        let load = NodeLoad {
+            workload: loadgen.spec().name,
+            total_rate: loadgen.rate_per_sec(),
+            network_rtt: loadgen.spec().network_rtt,
+        };
         let first_arrival = loadgen.peek_next_arrival();
-
-        let mut sim = Simulation::new(seed, state);
-        let builders: Vec<ServerNode> = (0..node_count).map(ServerNode::new).collect();
-        let nodes: Vec<NodeHandles> = builders
-            .iter()
-            .map(|b| b.register(&mut sim, None))
-            .collect();
-        let balancer = Rc::new(RefCell::new(Balancer::new(loadgen, policy, node_count)));
-        let balancer_id = sim.add_component("balancer", Rc::clone(&balancer));
-        // Each node's observers are scoped to the node's own components (see
-        // `ServerNode::register`); subscribe the power observers to the
-        // balancer too, since an arrival deposits into a node's NIC buffer —
-        // the instant a standalone server would account through its own
-        // `ClientArrival`. The package observers stay unsubscribed: a
-        // balancer event only touches a NIC buffer, which none of the
-        // package-state inputs read, so their hooks would record a
-        // same-state no-op transition (the range check in
-        // `PackageController::on_post_dispatch` guards the same invariant).
-        // The fabric component registers even without a `[network]`
-        // configuration: registration forks its RNG stream by name (a pure
-        // function that perturbs no other stream) and an absent fabric never
-        // receives an event, so the no-network event sequence is untouched.
-        // A deferred `WireDeliver` deposits into a node's NIC buffer just
-        // like a balancer arrival, so the power observers watch it too.
-        let fabric_id = sim.add_component("fabric", Fabric);
-        for handles in &nodes {
-            sim.add_observer_target(handles.power, balancer_id);
-            sim.add_observer_target(handles.power, fabric_id);
-        }
-        sim.shared_mut().fabric =
-            network.map(|config| FabricState::new(config, node_count, fabric_id));
-        sim.shared_mut().trace = trace_config
-            .map(|config| TraceState::new(config, SimRng::from_seed(seed).fork("trace-sampler")));
-        if profile {
-            sim.enable_event_profile(ServerEvent::KIND_COUNT, ServerEvent::kind);
-        }
-        // Bootstrap in the standalone order: the first arrival, then every
-        // node's background timers / initial idle entries / power sampling.
-        sim.schedule(balancer_id, first_arrival, ServerEvent::ClusterArrival);
-        for (builder, handles) in builders.iter().zip(&nodes) {
-            builder.bootstrap(&mut sim, handles);
-        }
-
+        let balancer = Rc::new(RefCell::new(Balancer::new(loadgen, policy, configs.len())));
+        let front = Front {
+            name: "balancer",
+            handler: Rc::clone(&balancer),
+            first_arrival,
+            arrival: ServerEvent::ClusterArrival,
+        };
         ClusterSimulation {
-            sim,
-            nodes,
+            core: MultiNode::new(seed, configs, &load, front, network),
             balancer,
-            end_at,
-            profile,
         }
     }
 
     /// Number of server nodes in the cluster.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.core.node_count()
     }
 
     /// Read access to the shared cluster state (for tests and tracing).
     #[must_use]
     pub fn state(&self) -> &ClusterState {
-        self.sim.shared()
+        self.core.simulation().shared()
     }
 
     /// The underlying component simulation (for tests and tracing).
     #[must_use]
     pub fn simulation(&self) -> &Simulation<ServerEvent, ClusterState> {
-        &self.sim
+        self.core.simulation()
     }
 
     /// Runs the cluster to the horizon and reduces per-node telemetry into a
     /// [`ClusterResult`].
     #[must_use]
-    pub fn run(mut self) -> ClusterResult {
-        let events_dispatched = self.sim.run_until(self.end_at);
-        let end = self.end_at;
-        let network = self
-            .sim
-            .shared()
-            .fabric
-            .as_ref()
-            .map(|f| f.net.stats().clone());
-        let profile = self.profile.then(|| {
-            crate::components::profile_report(self.sim.queue_counters(), self.sim.event_profile())
-        });
-        let runs = self
-            .nodes
-            .iter()
-            .map(|handles| handles.collect_result(self.sim.shared_mut(), end))
-            .collect();
-        let trace = self.sim.shared_mut().trace.take().map(TraceState::into_log);
+    pub fn run(self) -> ClusterResult {
+        let run = self.core.run();
         let balancer = self.balancer.borrow();
         ClusterResult {
             policy: balancer.policy_name(),
             routed: balancer.routed().to_vec(),
-            duration: self.end_at.saturating_since(SimTime::ZERO),
-            events_dispatched,
-            network,
-            trace,
-            profile,
-            nodes: FleetResult { runs },
+            duration: run.duration,
+            events_dispatched: run.events_dispatched,
+            network: run.network,
+            trace: run.trace,
+            profile: run.profile,
+            nodes: run.nodes,
         }
     }
 }
@@ -314,13 +238,7 @@ impl ClusterResult {
     /// (1.0 = perfectly even, N = everything on one of N nodes).
     #[must_use]
     pub fn routing_imbalance(&self) -> f64 {
-        let total = self.total_routed();
-        if total == 0 || self.routed.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.routed.len() as f64;
-        let max = self.routed.iter().copied().max().unwrap_or(0) as f64;
-        max / mean
+        routing_imbalance(&self.routed)
     }
 }
 
@@ -376,8 +294,8 @@ pub struct ClusterMember {
 
 impl ClusterMember {
     /// A cluster of `n` nodes sharing `base`'s platform, with node seeds
-    /// derived by the canonical [`Fleet::member_seed`] scheme from `base`'s
-    /// seed, serving `spec` at cluster-aggregate `total_rate_per_sec` under
+    /// derived by the canonical [`crate::fleet::Fleet::member_seed`] scheme
+    /// from `base`'s seed, serving `spec` at cluster-aggregate `total_rate_per_sec` under
     /// `policy`.
     #[must_use]
     pub fn homogeneous(
@@ -388,9 +306,7 @@ impl ClusterMember {
         total_rate_per_sec: f64,
     ) -> Self {
         ClusterMember {
-            nodes: (0..n)
-                .map(|i| base.clone().with_seed(Fleet::member_seed(base.seed, i)))
-                .collect(),
+            nodes: member_configs(base, n),
             policy,
             spec,
             total_rate_per_sec,
@@ -422,82 +338,18 @@ impl ClusterMember {
     }
 }
 
+impl Member for ClusterMember {
+    type Output = ClusterResult;
+
+    fn run(self) -> ClusterResult {
+        ClusterMember::run(self)
+    }
+}
+
 /// A set of independent cluster simulations run as one experiment — e.g. the
 /// same cluster under every routing policy, or a policy under every platform
-/// configuration. Members execute on the same deterministic worker pool as
-/// [`Fleet::run`], so a parallel run is bit-identical to
-/// [`ClusterFleet::run_sequential`].
-#[derive(Debug, Default)]
-pub struct ClusterFleet {
-    members: Vec<ClusterMember>,
-    parallelism: Option<usize>,
-}
-
-impl ClusterFleet {
-    /// An empty cluster fleet.
-    #[must_use]
-    pub fn new() -> Self {
-        ClusterFleet::default()
-    }
-
-    /// Adds one cluster to the fleet.
-    pub fn push(&mut self, member: ClusterMember) -> &mut Self {
-        self.members.push(member);
-        self
-    }
-
-    /// Number of clusters in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` when the fleet has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Pins the number of worker threads [`ClusterFleet::run`] may use
-    /// (`1` forces the sequential path); see [`Fleet::with_parallelism`].
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Runs every cluster to completion — in parallel when the host allows —
-    /// returning results in member order, bit-identical to
-    /// [`ClusterFleet::run_sequential`].
-    #[must_use]
-    pub fn run(self) -> Vec<ClusterResult> {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool(self.members, workers, ClusterMember::run)
-    }
-
-    /// Runs every cluster back-to-back on the calling thread.
-    #[must_use]
-    pub fn run_sequential(self) -> Vec<ClusterResult> {
-        self.members.into_iter().map(ClusterMember::run).collect()
-    }
-
-    /// Like [`ClusterFleet::run`], but invokes `emit(i, &result)` once per
-    /// repeat, in member order, as soon as repeat `i` and all its
-    /// predecessors have finished (the CLI's `--stream-out` hook). Results
-    /// are bit-identical to [`ClusterFleet::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns `emit`'s first error; remaining repeats still run but
-    /// nothing further is emitted.
-    pub fn run_streamed<E>(
-        self,
-        emit: impl FnMut(usize, &ClusterResult) -> Result<(), E>,
-    ) -> Result<Vec<ClusterResult>, E> {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool_streamed(self.members, workers, ClusterMember::run, emit)
-    }
-}
+/// configuration — on the deterministic [`Pool`].
+pub type ClusterFleet = Pool<ClusterMember>;
 
 /// Convenience: run one homogeneous cluster experiment (see
 /// [`ClusterMember::homogeneous`] for the seed-derivation scheme).

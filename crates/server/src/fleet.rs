@@ -1,21 +1,22 @@
-//! Multi-server fleet runner.
+//! The deterministic run pool and the multi-server fleet.
 //!
-//! A [`Fleet`] executes N independent server simulations — typically the
-//! same platform configuration under distinct seeds, but arbitrary
-//! per-member configs/workloads/rates are supported — and aggregates their
-//! [`RunResult`]s into a [`FleetResult`]. This is the entry point for
-//! scenario sweeps that need fleet-level statistics (aggregate throughput,
-//! mean power, worst-case tail latency) rather than a single server's view.
+//! A [`Pool`] executes independent [`Member`]s — server simulations
+//! ([`FleetMember`]), whole clusters ([`crate::cluster::ClusterMember`]) or
+//! chain clusters ([`crate::chain::ChainMember`]) — and returns their
+//! outputs in member order. [`Fleet`], [`crate::cluster::ClusterFleet`] and
+//! [`crate::chain::ChainFleet`] are the three instantiations; a [`Fleet`]'s
+//! [`RunResult`]s aggregate into a [`FleetResult`] (fleet-level throughput,
+//! mean power, worst-case tail latency).
 //!
 //! # Parallelism
 //!
-//! Members are pairwise independent (no simulated cross-server traffic and
-//! no shared RNG state), so [`Fleet::run`] fans them out over a pool of OS
-//! threads pulling from a shared work queue. Results are written back into
+//! Members are pairwise independent (no simulated cross-member traffic and
+//! no shared RNG state), so [`Pool::run`] fans them out over a pool of OS
+//! threads claiming members from a shared queue. Results land in
 //! member-order slots, which makes a parallel run **bit-identical** to
-//! [`Fleet::run_sequential`] for the same members: thread scheduling can
+//! [`Pool::run_sequential`] for the same members: thread scheduling can
 //! change only *when* a member executes, never what it computes or where its
-//! result lands. Use [`Fleet::with_parallelism`] to pin the worker count
+//! result lands. Use [`Pool::with_parallelism`] to pin the worker count
 //! (`1` forces the sequential path).
 //!
 //! # Determinism
@@ -25,7 +26,7 @@
 //! `"server 0"`, `"server 1"`, …, so a fleet is exactly reproducible
 //! run-to-run while its members remain pairwise independent.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 use std::sync::{mpsc, Mutex};
 
 use apc_sim::rng::SimRng;
@@ -40,151 +41,171 @@ use crate::config::ServerConfig;
 use crate::result::RunResult;
 use crate::sim::ServerSimulation;
 
-/// Resolves the worker count for a pool over `jobs` jobs: an explicit
-/// [`Fleet::with_parallelism`]-style override, else the host's available
-/// parallelism, never more workers than jobs (and at least one). Shared by
-/// [`Fleet`] and [`crate::cluster::ClusterFleet`] so both runners follow one
-/// policy.
-pub(crate) fn effective_workers(parallelism: Option<usize>, jobs: usize) -> usize {
-    parallelism
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .min(jobs.max(1))
+/// One independent unit of work a [`Pool`] can run: a declarative,
+/// `Send` description that builds and runs its own simulation.
+pub trait Member: Send {
+    /// What one run produces.
+    type Output: Send;
+
+    /// Builds and runs the member to completion.
+    fn run(self) -> Self::Output;
 }
 
-/// The deterministic worker pool both fleet runners share: `workers` OS
-/// threads claim jobs from an atomic cursor and write each result into the
-/// job-order slot, so the output is independent of thread scheduling —
-/// bit-identical to running `jobs.into_iter().map(run).collect()`.
-pub(crate) fn run_pool<T: Send, R: Send>(
-    jobs: Vec<T>,
-    workers: usize,
-    run: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    if workers <= 1 {
-        return jobs.into_iter().map(run).collect();
-    }
-    // Work queue: jobs wait in `Mutex<Option<_>>` slots so any worker can
-    // claim ownership of job `i`; results land in slot `i`.
-    let job_slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<R>>> = job_slots.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
+/// A set of independent [`Member`]s run as one experiment, on a
+/// deterministic worker pool (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Pool<M> {
+    members: Vec<M>,
+    parallelism: Option<usize>,
+}
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = job_slots.get(i) else { break };
-                let job = job
-                    .lock()
-                    .expect("pool job slot poisoned")
-                    .take()
-                    .expect("pool job claimed twice");
-                let result = run(job);
-                *results[i].lock().expect("pool result slot poisoned") = Some(result);
-            });
+/// A pool of independent server simulations.
+pub type Fleet = Pool<FleetMember>;
+
+impl<M> Default for Pool<M> {
+    fn default() -> Self {
+        Pool {
+            members: Vec::new(),
+            parallelism: None,
         }
-    });
+    }
+}
 
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("pool result slot poisoned")
-                .expect("pool worker exited without storing a result")
+impl<M: Member> Pool<M> {
+    /// An empty pool.
+    #[must_use]
+    pub fn new() -> Self {
+        Pool::default()
+    }
+
+    /// Adds one member to the pool.
+    pub fn push(&mut self, member: M) -> &mut Self {
+        self.members.push(member);
+        self
+    }
+
+    /// Number of members in the pool.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// `true` when the pool has no members.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Pins the number of worker threads [`Pool::run`] may use.
+    ///
+    /// `1` forces the sequential path; values are clamped to at least 1.
+    /// Without this, `run` sizes the pool to the host's available
+    /// parallelism. The result is bit-identical either way — the knob only
+    /// trades wall-clock time against CPU occupancy.
+    #[must_use]
+    pub fn with_parallelism(mut self, workers: usize) -> Self {
+        self.parallelism = Some(workers.max(1));
+        self
+    }
+
+    /// Runs every member to completion — in parallel when the host and the
+    /// [`Pool::with_parallelism`] knob allow it. Outputs are in insertion
+    /// order and bit-identical to [`Pool::run_sequential`]'s.
+    #[must_use]
+    pub fn run(self) -> Vec<M::Output> {
+        match self.run_streamed(|_, _| Ok::<(), Infallible>(())) {
+            Ok(outputs) => outputs,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Runs every member back-to-back on the calling thread.
+    #[must_use]
+    pub fn run_sequential(self) -> Vec<M::Output> {
+        self.with_parallelism(1).run()
+    }
+
+    /// Like [`Pool::run`], but invokes `emit(i, &output)` once per member,
+    /// in member order, as soon as member `i` **and every member before
+    /// it** have finished — while later members may still be running. This
+    /// is the hook behind the CLI's incremental `--stream-out` export; the
+    /// returned outputs are bit-identical to [`Pool::run`]'s.
+    ///
+    /// `emit` runs on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns `emit`'s first error. Nothing further is emitted, members
+    /// not yet started are skipped, and the computed outputs are dropped.
+    pub fn run_streamed<E>(
+        self,
+        mut emit: impl FnMut(usize, &M::Output) -> Result<(), E>,
+    ) -> Result<Vec<M::Output>, E> {
+        let total = self.members.len();
+        let workers = self
+            .parallelism
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+            .min(total.max(1));
+        if workers <= 1 {
+            let mut outputs = Vec::with_capacity(total);
+            for (i, member) in self.members.into_iter().enumerate() {
+                let output = member.run();
+                emit(i, &output)?;
+                outputs.push(output);
+            }
+            return Ok(outputs);
+        }
+
+        // Workers claim members in order from the shared queue and send
+        // each output back tagged with its member index.
+        let queue = Mutex::new(self.members.into_iter().enumerate());
+        let (tx, rx) = mpsc::channel::<(usize, M::Output)>();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let (tx, queue) = (tx.clone(), &queue);
+                scope.spawn(move || loop {
+                    let next = queue.lock().expect("pool queue poisoned").next();
+                    let Some((i, member)) = next else { break };
+                    // A closed channel means the collector stopped on an
+                    // emit error: nothing more is wanted.
+                    if tx.send((i, member.run())).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+
+            // The calling thread plays collector: outputs arrive in
+            // completion order, land in their member-order slot, and are
+            // emitted as the in-order frontier advances.
+            let mut slots: Vec<Option<M::Output>> = (0..total).map(|_| None).collect();
+            let mut next = 0;
+            for (i, output) in rx {
+                slots[i] = Some(output);
+                while let Some(Some(output)) = slots.get(next) {
+                    emit(next, output)?;
+                    next += 1;
+                }
+            }
+            Ok(slots
+                .into_iter()
+                .map(|slot| slot.expect("pool worker exited without storing a result"))
+                .collect())
         })
+    }
+}
+
+/// `n` copies of `base`, member `i` under the canonical seed
+/// [`Fleet::member_seed`]`(base.seed, i)` — the node set of every
+/// homogeneous fleet, cluster and chain.
+pub(crate) fn member_configs(base: &ServerConfig, n: usize) -> Vec<ServerConfig> {
+    (0..n)
+        .map(|i| base.clone().with_seed(Fleet::member_seed(base.seed, i)))
         .collect()
-}
-
-/// [`run_pool`] with an in-order progress callback: `emit(i, &result)` is
-/// called exactly once per job, in job order, as soon as job `i` **and every
-/// job before it** have finished — while later jobs may still be running.
-/// This is what lets the CLI's `--stream-out` flush sweep rows to disk as
-/// the grid progresses, with byte-identical output to the buffered path.
-///
-/// `emit` runs on the calling thread. Its first error stops further
-/// emission (workers still drain the queue so the pool joins cleanly) and is
-/// returned after the pool finishes; the computed results are dropped in
-/// that case.
-pub(crate) fn run_pool_streamed<T: Send, R: Send, E>(
-    jobs: Vec<T>,
-    workers: usize,
-    run: impl Fn(T) -> R + Sync,
-    mut emit: impl FnMut(usize, &R) -> Result<(), E>,
-) -> Result<Vec<R>, E> {
-    if workers <= 1 {
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut failure = None;
-        for (i, job) in jobs.into_iter().enumerate() {
-            let result = run(job);
-            if failure.is_none() {
-                failure = emit(i, &result).err();
-            }
-            results.push(result);
-        }
-        return match failure {
-            Some(e) => Err(e),
-            None => Ok(results),
-        };
-    }
-
-    let job_slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let total = job_slots.len();
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-
-    let (results, failure) = std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let job_slots = &job_slots;
-            let cursor = &cursor;
-            let run = &run;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = job_slots.get(i) else { break };
-                let job = job
-                    .lock()
-                    .expect("pool job slot poisoned")
-                    .take()
-                    .expect("pool job claimed twice");
-                if tx.send((i, run(job))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        // The calling thread plays collector: results arrive in completion
-        // order, land in their job-order slot, and are emitted as the
-        // in-order frontier advances.
-        let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        let mut next = 0;
-        let mut failure = None;
-        for (i, result) in rx {
-            slots[i] = Some(result);
-            while next < total {
-                let Some(result) = slots[next].as_ref() else {
-                    break;
-                };
-                if failure.is_none() {
-                    failure = emit(next, result).err();
-                }
-                next += 1;
-            }
-        }
-        (slots, failure)
-    });
-
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(results
-        .into_iter()
-        .map(|slot| slot.expect("pool worker exited without storing a result"))
-        .collect())
 }
 
 /// One server instance within a fleet.
@@ -230,6 +251,10 @@ impl FleetMember {
         self.arrivals = Some(arrivals);
         self
     }
+}
+
+impl Member for FleetMember {
+    type Output = RunResult;
 
     /// Runs this member's simulation to completion.
     fn run(self) -> RunResult {
@@ -244,20 +269,7 @@ impl FleetMember {
     }
 }
 
-/// A set of independent server simulations run as one experiment.
-#[derive(Debug, Default)]
-pub struct Fleet {
-    members: Vec<FleetMember>,
-    parallelism: Option<usize>,
-}
-
-impl Fleet {
-    /// An empty fleet.
-    #[must_use]
-    pub fn new() -> Self {
-        Fleet::default()
-    }
-
+impl Pool<FleetMember> {
     /// A fleet of `n` servers sharing one configuration and workload but
     /// running under distinct, deterministically derived seeds (see the
     /// [module docs](self) for the derivation scheme).
@@ -272,12 +284,8 @@ impl Fleet {
         n: usize,
     ) -> Self {
         let mut fleet = Fleet::new();
-        for i in 0..n {
-            fleet.push(FleetMember::new(
-                config.clone().with_seed(Fleet::member_seed(config.seed, i)),
-                spec_fn(),
-                rate_per_sec,
-            ));
+        for member_config in member_configs(config, n) {
+            fleet.push(FleetMember::new(member_config, spec_fn(), rate_per_sec));
         }
         fleet
     }
@@ -293,76 +301,6 @@ impl Fleet {
             .fork(&format!("server {index}"))
             .seed()
     }
-
-    /// Adds one member to the fleet.
-    pub fn push(&mut self, member: FleetMember) -> &mut Self {
-        self.members.push(member);
-        self
-    }
-
-    /// Pins the number of worker threads [`Fleet::run`] may use.
-    ///
-    /// `1` forces the sequential path; values are clamped to at least 1.
-    /// Without this, `run` sizes the pool to the host's available
-    /// parallelism. The result is bit-identical either way — the knob only
-    /// trades wall-clock time against CPU occupancy.
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Number of servers in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` when the fleet has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Runs every member to completion — in parallel when the host and the
-    /// [`Fleet::with_parallelism`] knob allow it — and aggregates the
-    /// results. Member order in the [`FleetResult`] always matches insertion
-    /// order, and the outcome is bit-identical to
-    /// [`Fleet::run_sequential`].
-    #[must_use]
-    pub fn run(self) -> FleetResult {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        FleetResult {
-            runs: run_pool(self.members, workers, FleetMember::run),
-        }
-    }
-
-    /// Runs every member back-to-back on the calling thread.
-    #[must_use]
-    pub fn run_sequential(self) -> FleetResult {
-        let runs: Vec<RunResult> = self.members.into_iter().map(FleetMember::run).collect();
-        FleetResult { runs }
-    }
-
-    /// Like [`Fleet::run`], but invokes `emit(i, &result)` once per member,
-    /// in member order, as soon as member `i` and all its predecessors have
-    /// finished — the hook behind the CLI's incremental `--stream-out`
-    /// export. The returned [`FleetResult`] is bit-identical to
-    /// [`Fleet::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns `emit`'s first error; the remaining members still run (the
-    /// pool joins cleanly) but nothing further is emitted.
-    pub fn run_streamed<E>(
-        self,
-        emit: impl FnMut(usize, &RunResult) -> Result<(), E>,
-    ) -> Result<FleetResult, E> {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        Ok(FleetResult {
-            runs: run_pool_streamed(self.members, workers, FleetMember::run, emit)?,
-        })
-    }
 }
 
 /// The aggregated outcome of a fleet run.
@@ -373,6 +311,13 @@ impl Fleet {
 pub struct FleetResult {
     /// Per-server results, in member order.
     pub runs: Vec<RunResult>,
+}
+
+/// Aggregates a [`Fleet::run`]'s per-member results.
+impl From<Vec<RunResult>> for FleetResult {
+    fn from(runs: Vec<RunResult>) -> Self {
+        FleetResult { runs }
+    }
 }
 
 impl FleetResult {

@@ -58,6 +58,7 @@ pub mod cluster;
 pub mod components;
 pub mod config;
 pub mod fleet;
+mod multinode;
 pub mod node;
 pub mod result;
 pub mod scenario;
@@ -71,7 +72,7 @@ pub use cluster::{
     run_cluster_experiment, ClusterFleet, ClusterMember, ClusterResult, ClusterSimulation,
 };
 pub use config::ServerConfig;
-pub use fleet::{Fleet, FleetMember, FleetResult};
+pub use fleet::{Fleet, FleetMember, FleetResult, Member, Pool};
 pub use node::ServerNode;
 pub use result::RunResult;
 pub use scenario::{

@@ -300,7 +300,7 @@ impl Scenario {
             scenario: self.name,
             config_name: base.platform.name,
             servers: self.servers(),
-            fleet: self.build_fleet(base).run(),
+            fleet: self.build_fleet(base).run().into(),
         }
     }
 

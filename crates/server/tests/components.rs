@@ -2,7 +2,7 @@
 //! PC1A entry/abort event ordering, uncore gating and seed determinism.
 
 use apc_server::config::ServerConfig;
-use apc_server::fleet::Fleet;
+use apc_server::fleet::{Fleet, FleetResult};
 use apc_server::result::RunResult;
 use apc_server::sim::{run_experiment, ServerSimulation};
 use apc_sim::{SimDuration, SimTime};
@@ -126,7 +126,11 @@ fn dispatch_waits_for_uncore_exit() {
 #[test]
 fn fleet_of_four_is_deterministic_and_aggregates() {
     let config = ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(50));
-    let build = || Fleet::homogeneous(&config, WorkloadSpec::memcached_etc, 15_000.0, 4).run();
+    let build = || {
+        FleetResult::from(
+            Fleet::homogeneous(&config, WorkloadSpec::memcached_etc, 15_000.0, 4).run(),
+        )
+    };
     let a = build();
     let b = build();
     assert_eq!(a.servers(), 4);

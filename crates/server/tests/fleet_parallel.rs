@@ -2,7 +2,7 @@
 //! the sequential path.
 
 use apc_server::config::ServerConfig;
-use apc_server::fleet::{Fleet, FleetMember};
+use apc_server::fleet::{Fleet, FleetMember, FleetResult};
 use apc_sim::SimDuration;
 use apc_workloads::arrival::{PiecewiseRateArrivals, RateSegment};
 use apc_workloads::spec::WorkloadSpec;
@@ -33,7 +33,7 @@ fn oversubscribed_worker_pool_is_harmless() {
     let wide = homogeneous_fleet(3).with_parallelism(16).run();
     let narrow = homogeneous_fleet(3).with_parallelism(2).run();
     assert_eq!(wide, narrow);
-    assert_eq!(wide.servers(), 3);
+    assert_eq!(wide.len(), 3);
 }
 
 #[test]
@@ -74,15 +74,15 @@ fn heterogeneous_members_keep_insertion_order() {
     assert_eq!(parallel, sequential);
     // Per-slot identity: the scheduler may finish members in any order, but
     // slot i always holds member i.
-    let workloads: Vec<&str> = parallel.runs.iter().map(|r| r.workload).collect();
+    let workloads: Vec<&str> = parallel.iter().map(|r| r.workload).collect();
     assert_eq!(workloads, ["memcached", "kafka", "mysql"]);
-    let configs: Vec<&str> = parallel.runs.iter().map(|r| r.config_name).collect();
+    let configs: Vec<&str> = parallel.iter().map(|r| r.config_name).collect();
     assert_eq!(configs, ["CPC1A", "Cdeep", "Cshallow"]);
 }
 
 #[test]
 fn fleet_display_summarises_members_and_totals() {
-    let result = homogeneous_fleet(2).run();
+    let result = FleetResult::from(homogeneous_fleet(2).run());
     let rendered = format!("{result}");
     assert!(rendered.contains("server   0"), "{rendered}");
     assert!(rendered.contains("server   1"), "{rendered}");

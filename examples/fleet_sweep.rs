@@ -9,7 +9,7 @@
 //! ```
 
 use apc::prelude::*;
-use apc::server::fleet::Fleet;
+use apc::server::fleet::{Fleet, FleetResult};
 
 fn main() {
     let servers = 8;
@@ -41,7 +41,7 @@ fn main() {
             rate,
             servers,
         );
-        let result = fleet.run();
+        let result = FleetResult::from(fleet.run());
         let power = result.total_power_w();
         let delta = baseline_power
             .map(|base| format!("{:+.1}%", (power / base - 1.0) * 100.0))
