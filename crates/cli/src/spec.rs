@@ -260,27 +260,31 @@ impl Table {
         }
     }
 
-    /// A positive duration built via `to_duration`, rejected when it rounds
-    /// to zero nanoseconds (a zero interval would silently disable or stall
-    /// whatever it configures).
-    fn duration(
-        &self,
-        key: &str,
-        to_duration: impl Fn(f64) -> SimDuration,
-    ) -> Result<Option<SimDuration>, SpecError> {
-        match self.positive(key)? {
-            None => Ok(None),
-            Some((n, line)) => {
-                let d = to_duration(n);
-                if d.is_zero() {
-                    return Err(SpecError::at(
-                        line,
-                        format!("`{key}` = {n} rounds to zero nanoseconds"),
-                    ));
-                }
-                Ok(Some(d))
-            }
+    /// A positive duration given in units of `us_per_unit` microseconds,
+    /// rejected when it rounds to zero nanoseconds (a zero interval would
+    /// silently disable or stall whatever it configures) or overflows the
+    /// 64-bit nanosecond clock (it would silently saturate to ~584 years).
+    fn duration(&self, key: &str, us_per_unit: f64) -> Result<Option<SimDuration>, SpecError> {
+        let Some((n, line)) = self.positive(key)? else {
+            return Ok(None);
+        };
+        let us = n * us_per_unit;
+        // The nanosecond count `SimDuration::from_micros_f64` rounds to.
+        let ns = (us * 1e-6 * 1e9).round();
+        if !ns.is_finite() || ns >= u64::MAX as f64 {
+            return Err(SpecError::at(
+                line,
+                format!("`{key}` = {n} overflows the 64-bit nanosecond clock"),
+            ));
         }
+        let d = SimDuration::from_micros_f64(us);
+        if d.is_zero() {
+            return Err(SpecError::at(
+                line,
+                format!("`{key}` = {n} rounds to zero nanoseconds"),
+            ));
+        }
+        Ok(Some(d))
     }
 
     fn unused_key_error(&self) -> Option<SpecError> {
@@ -642,9 +646,7 @@ impl ExperimentSpec {
             .map_or_else(|| "experiment".to_owned(), |(s, _)| s);
         let seed = experiment.uint("seed")?.map_or(0x5eed, |(u, _)| u);
         let duration = experiment
-            .duration("duration_ms", |ms| {
-                SimDuration::from_micros_f64(ms * 1_000.0)
-            })?
+            .duration("duration_ms", 1_000.0)?
             .unwrap_or(SimDuration::from_millis(100));
         let repeats = experiment.count("repeats")?.map_or(1, |(n, _)| n);
         // Like a bad `--parallelism` flag, a bad spec knob is a usage-level
@@ -690,11 +692,9 @@ impl ExperimentSpec {
         let timeseries_interval = match find("telemetry") {
             None => None,
             Some(t) => {
-                let interval = t
-                    .duration("sample_interval_us", SimDuration::from_micros_f64)?
-                    .ok_or_else(|| {
-                        SpecError::at(t.line, "[telemetry] needs `sample_interval_us`")
-                    })?;
+                let interval = t.duration("sample_interval_us", 1.0)?.ok_or_else(|| {
+                    SpecError::at(t.line, "[telemetry] needs `sample_interval_us`")
+                })?;
                 Some(interval)
             }
         };
@@ -760,9 +760,8 @@ impl ExperimentSpec {
                         )
                     })?,
                 };
-                let frontend_service =
-                    t.duration("frontend_service_us", SimDuration::from_micros_f64)?;
-                let leaf_service = t.duration("leaf_service_us", SimDuration::from_micros_f64)?;
+                let frontend_service = t.duration("frontend_service_us", 1.0)?;
+                let leaf_service = t.duration("leaf_service_us", 1.0)?;
                 SpecKind::Chain {
                     nodes,
                     fanout,
@@ -1306,6 +1305,25 @@ nodes = 4
             (
                 "[experiment]\nkind = \"x\"\n[experiment]\n",
                 "defined twice",
+            ),
+            (
+                "[experiment]\nkind = \"single\"\nduration_ms = 1e-9\n",
+                "rounds to zero nanoseconds",
+            ),
+            (
+                "[experiment]\nkind = \"single\"\nduration_ms = 1e300\n",
+                "overflows the 64-bit nanosecond clock",
+            ),
+            (
+                // 1e306 ms is +inf in microseconds: still an overflow, not
+                // a zero.
+                "[experiment]\nkind = \"single\"\nduration_ms = 1e306\n",
+                "overflows the 64-bit nanosecond clock",
+            ),
+            (
+                "[experiment]\nkind = \"single\"\n[workload]\nkind = \"memcached\"\nrate_per_sec = 1\n\
+                 [telemetry]\nsample_interval_us = 2e16\n",
+                "overflows the 64-bit nanosecond clock",
             ),
         ] {
             let err = ExperimentSpec::parse(text).unwrap_err();

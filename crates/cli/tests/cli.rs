@@ -727,6 +727,50 @@ fn malformed_specs_fail_with_line_numbers() {
 }
 
 #[test]
+fn durations_outside_the_clock_fail_with_line_numbers() {
+    for (value, needle) in [
+        ("1e300", "overflows the 64-bit nanosecond clock"),
+        ("1e-9", "rounds to zero nanoseconds"),
+    ] {
+        let spec = Scratch::new(&format!("duration-{value}.toml"));
+        spec.write(&format!(
+            "[experiment]\nkind = \"single\"\nduration_ms = {value}\n\n\
+             [workload]\nkind = \"memcached\"\nrate_per_sec = 100\n"
+        ));
+        let err = execute(&args(&["run", spec.path()])).unwrap_err();
+        let CliError::Input(message) = &err else {
+            panic!("expected input error, got {err:?}");
+        };
+        assert!(message.contains("line 3"), "{message}");
+        assert!(message.contains(needle), "{message}");
+        assert_eq!(err.exit_code(), 1);
+    }
+}
+
+#[test]
+fn vanishing_rates_finish_with_zero_requests() {
+    // At 1e-300 requests/s the mean Poisson gap (1e309 ns) overflows: the
+    // first arrival must land past the horizon, not at t = 0 over and over.
+    let head = "[experiment]\nkind = \"{kind}\"\nduration_ms = 1\n\n\
+                [workload]\nkind = \"memcached\"\nrate_per_sec = 1e-300\n";
+    for (kind, extra, key) in [
+        ("single", "", "completed_requests"),
+        ("single", "pattern = \"diurnal\"\n", "completed_requests"),
+        (
+            "chain",
+            "\n[chain]\nnodes = 2\nfanout = 2\n",
+            "chains_started",
+        ),
+    ] {
+        let spec = Scratch::new(&format!("vanishing-{kind}-{}.toml", extra.len()));
+        spec.write(&format!("{}{extra}", head.replace("{kind}", kind)));
+        let json = execute(&args(&["run", spec.path(), "--format", "json"])).unwrap();
+        assert!(json.contains(&format!("\"{key}\": 0,")), "{kind}: {json}");
+        assert!(!json.contains(&format!("\"{key}\": 1")), "{kind}: {json}");
+    }
+}
+
+#[test]
 fn unknown_scenario_names_are_rejected_with_suggestions() {
     let err = execute(&args(&["run", "no-such-scenario"])).unwrap_err();
     let CliError::Input(message) = &err else {

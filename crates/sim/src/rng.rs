@@ -182,8 +182,15 @@ impl SimRng {
 
     /// An exponentially distributed draw with the given mean.
     ///
-    /// Returns `0.0` for non-positive or non-finite means.
+    /// Returns `0.0` for non-positive or NaN means, and `+inf` for an
+    /// infinite one: a Poisson gap at a rate so low that `1 / rate`
+    /// overflows never elapses (it saturates past any horizon) instead of
+    /// collapsing to zero and piling every arrival onto one instant. Neither
+    /// case consumes a draw.
     pub fn exponential(&mut self, mean: f64) -> f64 {
+        if mean == f64::INFINITY {
+            return f64::INFINITY;
+        }
         if !mean.is_finite() || mean <= 0.0 {
             return 0.0;
         }
@@ -280,6 +287,21 @@ mod tests {
             "observed mean {observed} too far from {mean}"
         );
         assert_eq!(rng.exponential(-1.0), 0.0);
+    }
+
+    #[test]
+    fn exponential_saturates_for_an_infinite_mean() {
+        let mut rng = SimRng::from_seed(4);
+        let mut untouched = rng.clone();
+        // A rate of 1e-300 per second: the mean gap in ns overflows to +inf.
+        let gap = rng.exponential(1e9 / 1e-300);
+        assert_eq!(gap, f64::INFINITY);
+        assert_eq!(gap.round() as u64, u64::MAX, "the gap saturates the clock");
+        assert_eq!(rng.exponential(f64::NAN), 0.0);
+        assert_eq!(rng.exponential(f64::NEG_INFINITY), 0.0);
+        assert_eq!(rng.exponential(0.0), 0.0);
+        // No draw was consumed.
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 
     #[test]
