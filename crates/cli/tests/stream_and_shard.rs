@@ -212,76 +212,51 @@ topology = "flat"
 latency_us = 2
 "#;
 
-/// Runs `spec_text` once through `--out` and once through `--stream-out`
-/// and returns both artefacts.
-fn buffered_and_streamed(name: &str, spec_text: &str, format: &str) -> (String, String) {
+/// Runs `spec_text` once through `--out` and once through `--stream-out`,
+/// each with `--timeseries-out`, and returns the buffered and the streamed
+/// `(artefact, time series)`; a run without series reads as "".
+fn buffered_and_streamed(name: &str, spec_text: &str, format: &str) -> [(String, String); 2] {
     let spec = Scratch::new(&format!("{name}.toml"));
     spec.write(spec_text);
-    let buffered = Scratch::new(&format!("{name}-buf.{format}"));
-    let streamed = Scratch::new(&format!("{name}-stream.{format}"));
-    for (flag, out) in [("--out", &buffered), ("--stream-out", &streamed)] {
-        execute(&args(&[
-            "run",
-            spec.path(),
-            "--format",
-            format,
-            flag,
-            out.path(),
-        ]))
-        .unwrap();
-    }
-    (buffered.read(), streamed.read())
+    ["--out", "--stream-out"].map(|flag| {
+        let out = Scratch::new(&format!("{name}{flag}.{format}"));
+        let ts = Scratch::new(&format!("{name}{flag}-ts.csv"));
+        let mut argv = vec!["run", spec.path(), "--format", format, flag, out.path()];
+        if spec_text.contains("[telemetry]") {
+            argv.extend(["--timeseries-out", ts.path()]);
+        }
+        execute(&args(&argv)).unwrap();
+        (
+            out.read(),
+            std::fs::read_to_string(&ts.0).unwrap_or_default(),
+        )
+    })
 }
 
 #[test]
 fn streamed_chain_output_and_timeseries_are_byte_identical_to_buffered() {
     for format in ["json", "csv"] {
-        let spec = Scratch::new(&format!("chain-net-{format}.toml"));
-        spec.write(CHAIN_NET_SPEC);
-        let buffered = Scratch::new(&format!("chain-buf.{format}"));
-        let buffered_ts = Scratch::new(&format!("chain-buf-ts-{format}.csv"));
-        let streamed = Scratch::new(&format!("chain-stream.{format}"));
-        let streamed_ts = Scratch::new(&format!("chain-stream-ts-{format}.csv"));
-        for (flag, out, ts) in [
-            ("--out", &buffered, &buffered_ts),
-            ("--stream-out", &streamed, &streamed_ts),
-        ] {
-            execute(&args(&[
-                "run",
-                spec.path(),
-                "--format",
-                format,
-                flag,
-                out.path(),
-                "--timeseries-out",
-                ts.path(),
-            ]))
-            .unwrap();
-        }
-        let artefact = buffered.read();
-        assert_eq!(artefact, streamed.read(), "{format}");
-        let series = buffered_ts.read();
-        assert_eq!(series, streamed_ts.read(), "{format}");
+        let [buffered, streamed] = buffered_and_streamed("chain-net", CHAIN_NET_SPEC, format);
+        assert_eq!(buffered, streamed, "{format}");
+        let (artefact, series) = buffered;
         assert!(series.contains("\nrepeat 1 node 3,"), "{series}");
         match format {
             "json" => assert!(artefact.contains("\"network\""), "{artefact}"),
-            _ => assert!(
-                artefact.lines().next().unwrap().contains("net_"),
-                "{artefact}"
-            ),
+            _ => assert!(artefact.starts_with("repeat,") && artefact.contains(",net_")),
         }
     }
 }
 
 #[test]
 fn streamed_cluster_csv_with_network_and_repeats_is_byte_identical_to_buffered() {
-    let (buffered, streamed) = buffered_and_streamed("cluster-net", CLUSTER_NET_SPEC, "csv");
+    let [buffered, streamed] = buffered_and_streamed("cluster-net", CLUSTER_NET_SPEC, "csv");
     assert_eq!(buffered, streamed);
-    // One header, then 3 node rows per repeat.
-    assert_eq!(buffered.lines().count(), 1 + 2 * 3, "{buffered}");
+    // One header (with the fabric columns), then 3 node rows per repeat.
+    let (artefact, _) = buffered;
+    assert_eq!(artefact.lines().count(), 1 + 2 * 3, "{artefact}");
     assert!(
-        buffered.lines().next().unwrap().contains("net_"),
-        "{buffered}"
+        artefact.lines().next().unwrap().contains(",net_"),
+        "{artefact}"
     );
 }
 

@@ -291,30 +291,6 @@ impl ChainCoordinator {
         self.next_arrival
     }
 
-    /// The routing policy's name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// RPCs routed to each node so far.
-    #[must_use]
-    pub fn routed(&self) -> &[u64] {
-        &self.routed
-    }
-
-    /// Chains whose root has arrived.
-    #[must_use]
-    pub fn chains_started(&self) -> u64 {
-        self.chains_started
-    }
-
-    /// Chains whose last tier fully joined.
-    #[must_use]
-    pub fn chains_completed(&self) -> u64 {
-        self.chains_completed
-    }
-
     /// Issues every RPC of the chain's current tier, routing each through
     /// the policy into a node's NIC buffer.
     fn issue_tier(
@@ -482,31 +458,6 @@ impl ChainCoordinator {
             }
         }
     }
-
-    /// Reduces the coordinator's telemetry (consumes the recorders'
-    /// summaries; call once at the end of a run).
-    fn stats(&mut self) -> ChainStats {
-        ChainStats {
-            policy: self.policy.name(),
-            graph: self.graph.describe(),
-            routed: self.routed.clone(),
-            chains_started: self.chains_started,
-            chains_completed: self.chains_completed,
-            chain_latency: self.e2e.summary(),
-            straggler: self.straggler.summary(),
-        }
-    }
-}
-
-/// Coordinator-side telemetry of one run (private reduction helper).
-struct ChainStats {
-    policy: &'static str,
-    graph: String,
-    routed: Vec<u64>,
-    chains_started: u64,
-    chains_completed: u64,
-    chain_latency: LatencySummary,
-    straggler: LatencySummary,
 }
 
 impl EventHandler<ServerEvent, ClusterState> for ChainCoordinator {
@@ -618,16 +569,16 @@ impl ChainSimulation {
     #[must_use]
     pub fn run(self) -> ChainResult {
         let run = self.core.run();
-        let stats = self.coordinator.borrow_mut().stats();
+        let mut coordinator = self.coordinator.borrow_mut();
         ChainResult {
-            policy: stats.policy,
-            graph: stats.graph,
+            policy: coordinator.policy.name(),
+            graph: coordinator.graph.describe(),
             duration: run.duration,
-            chains_started: stats.chains_started,
-            chains_completed: stats.chains_completed,
-            chain_latency: stats.chain_latency,
-            straggler: stats.straggler,
-            routed: stats.routed,
+            chains_started: coordinator.chains_started,
+            chains_completed: coordinator.chains_completed,
+            chain_latency: coordinator.e2e.summary(),
+            straggler: coordinator.straggler.summary(),
+            routed: std::mem::take(&mut coordinator.routed),
             network: run.network,
             events_dispatched: run.events_dispatched,
             trace: run.trace,
