@@ -19,10 +19,10 @@
 //!   performs), joins per-leaf completions reported by the serving cores and
 //!   records end-to-end latency (root arrival → last leaf join) plus the
 //!   leaf-straggler gap (first → last leaf of a fan-out tier);
-//! * [`ChainSimulation`] / [`ChainMember`] / [`ChainFleet`] — the drivers,
-//!   mirroring [`crate::cluster`]: N complete server nodes plus the
-//!   coordinator in one event loop, runnable declaratively and in parallel
-//!   with bit-identical results.
+//! * [`ChainSimulation`] / [`ChainMember`] / [`ChainFleet`] — the driver
+//!   (the coordinator on the builder [`crate::cluster::ClusterSimulation`]
+//!   shares: N complete server nodes and the fabric in one event loop),
+//!   its declarative `Send` description, and the run pool over many.
 //!
 //! # Determinism
 //!

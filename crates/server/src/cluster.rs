@@ -9,7 +9,10 @@
 //! where routing policy — the thing that *creates* each server's idle-period
 //! distribution — becomes studyable: the same offered load produces entirely
 //! different per-node idle-period distributions (and therefore PC1A savings)
-//! under spreading vs. packing policies.
+//! under spreading vs. packing policies. Node registration, the fabric, the
+//! observers, tracing, profiling, bootstrap and result collection live in
+//! one crate-private builder shared with [`crate::chain::ChainSimulation`];
+//! this module adds the balancer front and the result mapping.
 //!
 //! # Determinism
 //!

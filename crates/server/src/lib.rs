@@ -18,8 +18,8 @@
 //! * [`sim`] — the thin 1-node [`sim::ServerSimulation`] driver, and the
 //!   [`sim::run_experiment`] entry point;
 //! * [`cluster`] — [`cluster::ClusterSimulation`]: N nodes plus a load
-//!   balancer in one event loop, with per-node and cluster-aggregate
-//!   results;
+//!   balancer in one event loop (on the builder chains share), with
+//!   per-node and cluster-aggregate results;
 //! * [`balancer`] — the cluster-level arrival stream and the pluggable
 //!   [`balancer::RoutingPolicy`] (random, round-robin, join-shortest-queue,
 //!   power-aware packing);
@@ -27,8 +27,9 @@
 //!   linear chains and frontend → N-leaf scatter-gather with wait-for-all
 //!   joins), executed across the cluster by a [`chain::ChainCoordinator`]
 //!   that records end-to-end latency and the leaf-straggler gap;
-//! * [`fleet`] — the [`fleet::Fleet`] runner executing many independent
-//!   server instances in parallel and aggregating their results;
+//! * [`fleet`] — the deterministic run [`fleet::Pool`] executing
+//!   independent servers ([`fleet::Fleet`]), clusters or chains in
+//!   parallel, and the [`fleet::FleetResult`] aggregates;
 //! * [`scenario`] — declarative [`scenario::Scenario`] specs plus a library
 //!   of named fleet experiments (diurnal, flash crowd, heterogeneous,
 //!   low-load sweep), cluster-routing scenarios
