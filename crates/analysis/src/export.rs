@@ -1305,10 +1305,12 @@ fn push_network_cells(out: &mut String, n: Option<&NetworkStats>) {
     }
 }
 
-/// The header line of [`cluster_results_csv`], newline-terminated.
-/// `with_network` inserts the [`NETWORK_CSV_COLUMNS`]; pass whether any
-/// exported result crossed a fabric (for a streamed spec run that is known
-/// up front: every repeat shares the spec's `[network]` table).
+/// The header line of the cluster CSV export, newline-terminated: one row
+/// per node of every cluster run, `repeat,node,policy,routed,` then the run
+/// columns. `with_network` inserts the [`NETWORK_CSV_COLUMNS`] between
+/// `routed` and the run columns; pass whether any exported result crossed
+/// a fabric (for a spec run that is known up front: every repeat shares the
+/// spec's `[network]` table).
 #[must_use]
 pub fn cluster_csv_header(with_network: bool) -> String {
     if with_network {
@@ -1318,9 +1320,9 @@ pub fn cluster_csv_header(with_network: bool) -> String {
     }
 }
 
-/// The rows of one cluster run of [`cluster_results_csv`] (one per node),
-/// newline-terminated — the unit the streaming CSV writer emits per
-/// finished repeat. `with_network` must match the header's.
+/// The rows of one cluster run (one per node) under
+/// [`cluster_csv_header`], newline-terminated — the unit the CSV writer
+/// emits per finished repeat. `with_network` must match the header's.
 #[must_use]
 pub fn cluster_csv_rows(repeat: usize, c: &ClusterResult, with_network: bool) -> String {
     let mut out = String::new();
@@ -1336,21 +1338,6 @@ pub fn cluster_csv_rows(repeat: usize, c: &ClusterResult, with_network: bool) ->
             out.push(',');
         }
         run_csv_row(&mut out, r);
-    }
-    out
-}
-
-/// Several cluster runs (e.g. repeats of one spec) as a single CSV with a
-/// leading `repeat` column: `repeat,node,policy,routed,` then the run
-/// columns. When any run crossed a network fabric, the
-/// [`NETWORK_CSV_COLUMNS`] are inserted between `routed` and the run
-/// columns.
-#[must_use]
-pub fn cluster_results_csv(results: &[ClusterResult]) -> String {
-    let with_network = results.iter().any(|c| c.network.is_some());
-    let mut out = cluster_csv_header(with_network);
-    for (repeat, c) in results.iter().enumerate() {
-        out.push_str(&cluster_csv_rows(repeat, c, with_network));
     }
     out
 }

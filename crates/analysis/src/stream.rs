@@ -23,8 +23,9 @@
 //!
 //! Writers flush after every push, so a consumer tailing the file sees
 //! complete rows/elements as the simulation progresses. All three are
-//! plain [`io::Write`] adapters: the CLI hands them buffered files, the
-//! byte-identity tests hand them `Vec<u8>`.
+//! plain [`io::Write`] adapters: `apc-cli` writes every JSON/CSV artefact
+//! through them, into a file for `--stream-out` and into a `Vec<u8>` for
+//! `--out` and stdout.
 
 use std::io::{self, Write};
 
