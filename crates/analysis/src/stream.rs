@@ -65,9 +65,11 @@ impl<W: Write> JsonRunsWriter<W> {
         if self.runs > 0 {
             self.out.write_all(b",")?;
         }
+        // Rendered before writing, so the run's JSON tree is freed before a
+        // buffered target copies the text.
+        let text = run_result_json(r).to_pretty_fragment(2);
         self.out.write_all(b"\n    ")?;
-        self.out
-            .write_all(run_result_json(r).to_pretty_fragment(2).as_bytes())?;
+        self.out.write_all(text.as_bytes())?;
         self.out.flush()?;
         self.runs += 1;
         Ok(())
@@ -125,20 +127,23 @@ impl<W: Write> JsonArrayWriter<W> {
         JsonArrayWriter { out, items: 0 }
     }
 
-    /// Appends one element and flushes.
+    /// Appends one element and flushes. The element's tree is freed once
+    /// rendered, before its text is written, so a buffered target never
+    /// holds the tree beside both copies of the text.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn push(&mut self, element: &JsonValue) -> io::Result<()> {
+    pub fn push(&mut self, element: JsonValue) -> io::Result<()> {
+        let text = element.to_pretty_fragment(1);
+        drop(element);
         if self.items == 0 {
             self.out.write_all(b"[")?;
         } else {
             self.out.write_all(b",")?;
         }
         self.out.write_all(b"\n  ")?;
-        self.out
-            .write_all(element.to_pretty_fragment(1).as_bytes())?;
+        self.out.write_all(text.as_bytes())?;
         self.out.flush()?;
         self.items += 1;
         Ok(())
@@ -286,7 +291,7 @@ mod tests {
         let buffered = JsonValue::Array(elements.clone()).to_pretty_string();
         let mut w = JsonArrayWriter::new(Vec::new());
         for e in &elements {
-            w.push(e).unwrap();
+            w.push(e.clone()).unwrap();
         }
         assert_eq!(String::from_utf8(w.finish().unwrap()).unwrap(), buffered);
 

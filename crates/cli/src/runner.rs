@@ -457,7 +457,7 @@ impl Outcome {
     }
 
     /// The result shape of this outcome.
-    pub(crate) fn shape(&self) -> Shape {
+    fn shape(&self) -> Shape {
         match self {
             Outcome::Runs { .. } => Shape::Runs,
             Outcome::Clusters { .. } => Shape::Clusters,
@@ -467,7 +467,7 @@ impl Outcome {
 
     /// Feeds every result to `sink` in member order — what a streamed run
     /// of the same plan handed it.
-    pub(crate) fn emit<E>(&self, sink: &mut impl StreamSink<E>) -> Result<(), E> {
+    fn emit<E>(&self, sink: &mut impl StreamSink<E>) -> Result<(), E> {
         match self {
             Outcome::Runs { labels, fleet, .. } => {
                 for (i, (label, run)) in labels.iter().zip(&fleet.runs).enumerate() {

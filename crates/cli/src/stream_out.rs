@@ -172,7 +172,7 @@ impl<W: Write> StreamSink<io::Error> for ArtefactSink<W> {
         let with_network = self.layout.with_network;
         match &mut self.artefact {
             None => {}
-            Some(ArtefactWriter::ArrayJson(w)) => w.push(&cluster_result_json(result))?,
+            Some(ArtefactWriter::ArrayJson(w)) => w.push(cluster_result_json(result))?,
             Some(ArtefactWriter::Csv(w)) => {
                 w.push(&cluster_csv_rows(repeat, result, with_network))?;
             }
@@ -187,7 +187,7 @@ impl<W: Write> StreamSink<io::Error> for ArtefactSink<W> {
         let with_network = self.layout.with_network;
         match &mut self.artefact {
             None => {}
-            Some(ArtefactWriter::ArrayJson(w)) => w.push(&chain_result_json(result))?,
+            Some(ArtefactWriter::ArrayJson(w)) => w.push(chain_result_json(result))?,
             Some(ArtefactWriter::Csv(w)) => w.push(&chain_csv_row(repeat, result, with_network))?,
             Some(ArtefactWriter::RunsJson(_)) => {
                 unreachable!("chain plans never write a fleet object")
