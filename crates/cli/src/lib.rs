@@ -20,10 +20,10 @@
 //! cluster spec or named cluster scenario) and `validate` (parse a JSON
 //! export with the bundled parser).
 //!
-//! All execution goes through the `apc-server` parallel pools, so results
-//! are bit-identical whatever `--parallelism` says, and the JSON/CSV
-//! exporters are deterministic — identical seeds yield byte-identical
-//! output files.
+//! All execution goes through the `apc-server` run pool, so results are
+//! bit-identical whatever `--parallelism` says, and every JSON/CSV artefact
+//! is written by one deterministic sink — identical seeds yield
+//! byte-identical output files, streamed or not.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
