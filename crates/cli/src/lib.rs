@@ -561,62 +561,104 @@ fn scenario_workloads(s: &Scenario) -> String {
 }
 
 fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
-    const COLUMNS: [&str; 5] = ["name", "kind", "servers", "workloads", "description"];
-    // One row per library scenario: name, kind, servers, workloads,
-    // description.
-    let fleets = Scenario::library().into_iter().map(|s| {
-        let workloads = scenario_workloads(&s);
-        (s.name, "fleet", s.servers(), workloads, s.description)
-    });
-    let clusters = ClusterScenario::library().into_iter().map(|s| {
-        let workloads = s.workload.name().to_owned();
-        (s.name, "cluster", s.nodes, workloads, s.description)
-    });
-    let chains = ChainScenario::library()
-        .into_iter()
-        .map(|s| (s.name, "chain", s.nodes, s.graph.describe(), s.description));
-    let rows: Vec<_> = fleets.chain(clusters).chain(chains).collect();
-    Ok(match inv.format()? {
+    match inv.format()? {
         OutputFormat::Table => {
-            let mut table = TextTable::new("scenario libraries", &COLUMNS);
-            for (name, kind, servers, workloads, description) in rows {
+            let mut table = TextTable::new(
+                "scenario libraries",
+                &["name", "kind", "servers", "workloads", "description"],
+            );
+            for s in Scenario::library() {
                 table.add_row(&[
-                    name.to_owned(),
-                    kind.to_owned(),
-                    servers.to_string(),
-                    workloads,
-                    description.to_owned(),
+                    s.name.to_owned(),
+                    "fleet".to_owned(),
+                    s.servers().to_string(),
+                    scenario_workloads(&s),
+                    s.description.to_owned(),
                 ]);
             }
-            table.render()
+            for s in ClusterScenario::library() {
+                table.add_row(&[
+                    s.name.to_owned(),
+                    "cluster".to_owned(),
+                    s.nodes.to_string(),
+                    s.workload.name().to_owned(),
+                    s.description.to_owned(),
+                ]);
+            }
+            for s in ChainScenario::library() {
+                table.add_row(&[
+                    s.name.to_owned(),
+                    "chain".to_owned(),
+                    s.nodes.to_string(),
+                    s.graph.describe(),
+                    s.description.to_owned(),
+                ]);
+            }
+            Ok(table.render())
         }
         OutputFormat::Json => {
-            let items = rows
-                .into_iter()
-                .map(|(name, kind, servers, workloads, description)| {
-                    let mut o = JsonValue::object();
-                    o.push("name", JsonValue::Str(name.to_owned()))
-                        .push("kind", JsonValue::Str(kind.to_owned()))
-                        .push("servers", JsonValue::UInt(servers as u64))
-                        .push("workloads", JsonValue::Str(workloads))
-                        .push("description", JsonValue::Str(description.to_owned()));
-                    o
-                });
-            JsonValue::Array(items.collect()).to_pretty_string()
+            let mut items = Vec::new();
+            for s in Scenario::library() {
+                let mut o = JsonValue::object();
+                o.push("name", JsonValue::Str(s.name.to_owned()))
+                    .push("kind", JsonValue::Str("fleet".to_owned()))
+                    .push("servers", JsonValue::UInt(s.servers() as u64))
+                    .push("workloads", JsonValue::Str(scenario_workloads(&s)))
+                    .push("description", JsonValue::Str(s.description.to_owned()));
+                items.push(o);
+            }
+            for s in ClusterScenario::library() {
+                let mut o = JsonValue::object();
+                o.push("name", JsonValue::Str(s.name.to_owned()))
+                    .push("kind", JsonValue::Str("cluster".to_owned()))
+                    .push("servers", JsonValue::UInt(s.nodes as u64))
+                    .push("workloads", JsonValue::Str(s.workload.name().to_owned()))
+                    .push("description", JsonValue::Str(s.description.to_owned()));
+                items.push(o);
+            }
+            for s in ChainScenario::library() {
+                let mut o = JsonValue::object();
+                o.push("name", JsonValue::Str(s.name.to_owned()))
+                    .push("kind", JsonValue::Str("chain".to_owned()))
+                    .push("servers", JsonValue::UInt(s.nodes as u64))
+                    .push("workloads", JsonValue::Str(s.graph.describe()))
+                    .push("description", JsonValue::Str(s.description.to_owned()));
+                items.push(o);
+            }
+            Ok(JsonValue::Array(items).to_pretty_string())
         }
         OutputFormat::Csv => {
-            let mut out = format!("{}\n", COLUMNS.join(","));
-            for (name, kind, servers, workloads, description) in rows {
+            let mut out = String::from("name,kind,servers,workloads,description\n");
+            for s in Scenario::library() {
                 out.push_str(&format!(
-                    "{},{kind},{servers},{},{}\n",
-                    csv_escape(name),
-                    csv_escape(&workloads),
-                    csv_escape(description)
+                    "{},fleet,{},{},{}\n",
+                    csv_escape(s.name),
+                    s.servers(),
+                    csv_escape(&scenario_workloads(&s)),
+                    csv_escape(s.description)
                 ));
             }
-            out
+            for s in ClusterScenario::library() {
+                out.push_str(&format!(
+                    "{},cluster,{},{},{}\n",
+                    csv_escape(s.name),
+                    s.nodes,
+                    csv_escape(s.workload.name()),
+                    csv_escape(s.description)
+                ));
+            }
+            for s in ChainScenario::library() {
+                out.push_str(&format!(
+                    "{},chain,{},{},{}\n",
+                    csv_escape(s.name),
+                    s.nodes,
+                    csv_escape(&s.graph.describe()),
+                    csv_escape(s.description)
+                ));
+            }
+            Ok(out)
         }
-    })
+    }
 }
 
 fn cmd_run(inv: &Invocation) -> Result<String, CliError> {
