@@ -1,0 +1,95 @@
+//! Golden-file tests of the artefact layouts no other golden covers: the
+//! top-level fleet object (runs, aggregates, then the `labels` array) and
+//! the cluster array / node-row CSV over a fabric with several repeats.
+//!
+//! The expected files under `tests/golden/` were captured from
+//! `apc-cli run <spec> --format json|csv --out <file>` on the specs beside
+//! them. Each is checked through stdout, `--out` and `--stream-out`, so
+//! the buffered and the streamed writer are both pinned to the same bytes.
+
+use std::path::PathBuf;
+
+use apc_analysis::export::JsonValue;
+use apc_cli::execute;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+
+/// Runs `spec` (a file under `tests/golden/`) in `format` and returns the
+/// artefact as printed to stdout, written by `--out` and by `--stream-out`.
+fn render_three_ways(spec: &str, format: &str) -> [String; 3] {
+    let path = format!("{GOLDEN}/{spec}");
+    let run = |extra: &[&str]| {
+        let mut argv = vec![
+            "run".to_owned(),
+            path.clone(),
+            "--format".into(),
+            format.into(),
+        ];
+        argv.extend(extra.iter().map(|s| (*s).to_owned()));
+        execute(&argv).expect("golden spec runs")
+    };
+    let file = |flag: &str| {
+        let path: PathBuf = std::env::temp_dir().join(format!(
+            "apc-golden-{}-{spec}{flag}.{format}",
+            std::process::id()
+        ));
+        let path_str = path.to_str().expect("temp paths are UTF-8");
+        run(&[flag, path_str]);
+        let text = std::fs::read_to_string(&path).expect("artefact written");
+        let _ = std::fs::remove_file(&path);
+        text
+    };
+    [run(&[]), file("--out"), file("--stream-out")]
+}
+
+fn assert_golden(spec: &str, format: &str, expected: &str) {
+    for (how, text) in ["stdout", "--out", "--stream-out"]
+        .iter()
+        .zip(render_three_ways(spec, format))
+    {
+        assert_eq!(text, expected, "{spec} --format {format} via {how}");
+    }
+}
+
+#[test]
+fn fleet_object_json_matches_golden_bytes() {
+    let expected = include_str!("golden/fleet.json");
+    assert_golden("fleet.toml", "json", expected);
+    let parsed = JsonValue::parse(expected).expect("golden parses");
+    let labels: Vec<&str> = parsed
+        .get("labels")
+        .and_then(JsonValue::as_array)
+        .expect("labels close the fleet object")
+        .iter()
+        .filter_map(JsonValue::as_str)
+        .collect();
+    assert_eq!(labels, ["server 0", "server 1"]);
+    assert_eq!(parsed.get("servers").and_then(JsonValue::as_u64), Some(2));
+}
+
+#[test]
+fn cluster_array_json_with_network_and_repeats_matches_golden_bytes() {
+    let expected = include_str!("golden/cluster_net.json");
+    assert_golden("cluster_net.toml", "json", expected);
+    let parsed = JsonValue::parse(expected).expect("golden parses");
+    let repeats = parsed.as_array().expect("one array element per repeat");
+    assert_eq!(repeats.len(), 2);
+    for repeat in repeats {
+        assert!(repeat.get("network").is_some());
+        let nodes = repeat.get("nodes").expect("per-node fleet object");
+        assert_eq!(nodes.get("servers").and_then(JsonValue::as_u64), Some(2));
+        assert!(
+            nodes.get("labels").is_none(),
+            "nested fleets carry no labels"
+        );
+    }
+}
+
+#[test]
+fn cluster_csv_with_network_and_repeats_matches_golden_bytes() {
+    let expected = include_str!("golden/cluster_net.csv");
+    assert_golden("cluster_net.toml", "csv", expected);
+    // One header with the fabric columns, then 2 node rows per repeat.
+    assert_eq!(expected.lines().count(), 1 + 2 * 2);
+    assert!(expected.starts_with("repeat,node,policy,routed,net_topology,"));
+}
