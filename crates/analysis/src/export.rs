@@ -1,11 +1,14 @@
-//! Machine-readable export of experiment results: hand-rolled JSON and CSV.
-//!
-//! The experiment runner's output layer. Both writers are deliberately
-//! boring and fully deterministic so that exported artefacts are diffable
-//! and pinnable by golden tests:
+//! The JSON layer of the experiment runner's output: a hand-rolled JSON
+//! value, its one printer ([`JsonWriter`]) and parser, and the JSON form of
+//! every per-run record — runs, latency summaries, sketches, time series,
+//! fabric stats, profiles and Chrome traces. The result artefacts built
+//! from these records (fleet objects, cluster/chain arrays, CSV) are laid
+//! out by [`crate::artefact`]. Everything is deliberately boring and fully
+//! deterministic so that exported artefacts are diffable and pinnable by
+//! golden tests:
 //!
 //! * **field order is fixed** — JSON objects preserve the declaration order
-//!   of the result structs, CSV columns are a documented constant order;
+//!   of the result structs;
 //! * **float formatting is fixed** — finite floats print via Rust's
 //!   shortest-round-trip formatter (`{}`), which is a pure function of the
 //!   bit pattern, so bit-identical results (what the fleet's
@@ -34,13 +37,10 @@
 //! assert!(parsed.get("completed_requests").and_then(JsonValue::as_u64).unwrap() > 0);
 //! ```
 
-use std::fmt::Write as _;
+use std::io;
 
 use apc_network::NetworkStats;
 use apc_power::units::Watts;
-use apc_server::chain::ChainResult;
-use apc_server::cluster::ClusterResult;
-use apc_server::fleet::FleetResult;
 use apc_server::result::RunResult;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::PackageCState;
@@ -147,129 +147,261 @@ impl JsonValue {
     /// Serialises compactly (no whitespace).
     #[must_use]
     pub fn to_compact_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.print(JsonWriter::compact(Vec::new()))
     }
 
     /// Serialises with 2-space indentation and one key per line — the form
     /// the golden tests pin and `apc-cli --format json` emits.
     #[must_use]
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
+        self.print(JsonWriter::pretty(Vec::new()))
     }
 
-    /// Serialises a pretty-printed *fragment*: the value rendered as if it
-    /// sat at container depth `depth` of a [`Self::to_pretty_string`]
-    /// document (its own first line unindented, nested lines indented
-    /// `2 * (depth + 1)` spaces, no trailing newline). The streaming
-    /// writers in [`crate::stream`] use this to emit array elements one at
-    /// a time while staying byte-identical to the buffered form.
-    #[must_use]
-    pub fn to_pretty_fragment(&self, depth: usize) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), depth);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            JsonValue::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            JsonValue::Float(f) => write_f64(out, *f),
-            JsonValue::Str(s) => write_json_string(out, s),
-            JsonValue::Array(items) => {
-                write_sequence(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, depth + 1);
-                });
-            }
-            JsonValue::Object(entries) => {
-                write_sequence(out, indent, depth, '{', '}', entries.len(), |out, i| {
-                    let (key, value) = &entries[i];
-                    write_json_string(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, depth + 1);
-                });
-            }
-        }
+    fn print(&self, mut json: JsonWriter<Vec<u8>>) -> String {
+        let in_memory = "writing to memory cannot fail";
+        json.value(self).expect(in_memory);
+        String::from_utf8(json.finish().expect(in_memory)).expect("JSON text is UTF-8")
     }
 }
 
-fn write_sequence(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+/// The one JSON printer: it serialises [`JsonValue`] trees
+/// ([`JsonValue::to_pretty_string`], [`JsonValue::to_compact_string`]) and
+/// writes documents incrementally into any [`io::Write`] — open a
+/// container, write its members as they become available, close it later.
+/// The artefact writers in [`crate::artefact`] stream results this way, so
+/// a streamed document and a serialised tree are the same bytes because
+/// they come from the same code.
+///
+/// Pretty output puts every member on its own line, indented two spaces
+/// per open container, and ends the document with a newline; empty
+/// containers print as `[]` / `{}`.
+#[derive(Debug)]
+pub struct JsonWriter<W> {
+    out: W,
+    pretty: bool,
+    /// Closing bracket and member count of every open container, innermost
+    /// last.
+    open: Vec<(u8, usize)>,
+    /// A key was just written: the next value completes its member.
+    after_key: bool,
+}
+
+impl<W: io::Write> JsonWriter<W> {
+    /// A pretty-printing writer.
+    pub fn pretty(out: W) -> Self {
+        JsonWriter {
+            out,
+            pretty: true,
+            open: Vec::new(),
+            after_key: false,
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
+    }
+
+    /// A compact writer (no whitespace).
+    pub fn compact(out: W) -> Self {
+        JsonWriter {
+            pretty: false,
+            ..JsonWriter::pretty(out)
         }
-        item(out, i);
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
+
+    /// Opens an object as the next value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures (as does every writing method).
+    pub fn begin_object(&mut self) -> io::Result<()> {
+        self.begin(b'{', b'}')
     }
-    out.push(close);
+
+    /// Opens an array as the next value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub fn begin_array(&mut self) -> io::Result<()> {
+        self.begin(b'[', b']')
+    }
+
+    /// Closes the innermost open container.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no container is open.
+    pub fn end(&mut self) -> io::Result<()> {
+        let (close, members) = self.open.pop().expect("a JSON container is open");
+        if members > 0 {
+            self.newline()?;
+        }
+        self.out.write_all(&[close])
+    }
+
+    /// Writes an object key; the next value written is its value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub fn key(&mut self, key: &str) -> io::Result<()> {
+        self.member()?;
+        write_json_string(&mut self.out, key)?;
+        self.out.write_all(if self.pretty { b": " } else { b":" })?;
+        self.after_key = true;
+        Ok(())
+    }
+
+    /// Writes every member of `object` into the open object (a non-object
+    /// writes nothing).
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub fn members(&mut self, object: &JsonValue) -> io::Result<()> {
+        if let JsonValue::Object(entries) = object {
+            for (key, value) in entries {
+                self.key(key)?;
+                self.value(value)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes a whole value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub fn value(&mut self, value: &JsonValue) -> io::Result<()> {
+        match value {
+            JsonValue::Array(items) => {
+                self.begin_array()?;
+                for item in items {
+                    self.value(item)?;
+                }
+                return self.end();
+            }
+            JsonValue::Object(_) => {
+                self.begin_object()?;
+                self.members(value)?;
+                return self.end();
+            }
+            _ => self.member()?,
+        }
+        match value {
+            JsonValue::Null => self.out.write_all(b"null"),
+            JsonValue::Bool(b) => self.out.write_all(if *b { b"true" } else { b"false" }),
+            JsonValue::Int(i) => write!(self.out, "{i}"),
+            JsonValue::UInt(u) => write!(self.out, "{u}"),
+            JsonValue::Float(f) => write_f64(&mut self.out, *f),
+            JsonValue::Str(s) => write_json_string(&mut self.out, s),
+            JsonValue::Array(_) | JsonValue::Object(_) => Ok(()),
+        }
+    }
+
+    /// Flushes the underlying writer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates flush failures.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+
+    /// Ends the document (a pretty one with a newline), flushes and returns
+    /// the underlying writer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub fn finish(mut self) -> io::Result<W> {
+        debug_assert!(self.open.is_empty(), "unclosed JSON container");
+        if self.pretty {
+            self.out.write_all(b"\n")?;
+        }
+        self.out.flush()?;
+        Ok(self.out)
+    }
+
+    fn begin(&mut self, open: u8, close: u8) -> io::Result<()> {
+        self.member()?;
+        self.open.push((close, 0));
+        self.out.write_all(&[open])
+    }
+
+    /// Starts the next value: right after its key, or as the next member of
+    /// the open container (separated from the previous one and, pretty, on
+    /// its own line).
+    fn member(&mut self) -> io::Result<()> {
+        if std::mem::take(&mut self.after_key) {
+            return Ok(());
+        }
+        let Some((_, members)) = self.open.last_mut() else {
+            return Ok(());
+        };
+        *members += 1;
+        if *members > 1 {
+            self.out.write_all(b",")?;
+        }
+        self.newline()
+    }
+
+    fn newline(&mut self) -> io::Result<()> {
+        if self.pretty {
+            self.out.write_all(b"\n")?;
+            for _ in 0..self.open.len() {
+                self.out.write_all(b"  ")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Deterministic float formatting: Rust's shortest-round-trip `{}` for
 /// finite values (a pure function of the bit pattern, with `.0` appended to
 /// integral values so floats stay visibly floats), `null` for non-finite
 /// values (JSON has no NaN/Inf).
-fn write_f64(out: &mut String, v: f64) {
+fn write_f64(out: &mut impl io::Write, v: f64) -> io::Result<()> {
     if !v.is_finite() {
-        out.push_str("null");
-        return;
+        return out.write_all(b"null");
     }
-    let start = out.len();
-    let _ = write!(out, "{v}");
-    if !out[start..].contains(['.', 'e', 'E']) {
-        out.push_str(".0");
+    // `{}` prints integral values without a fraction and never uses an
+    // exponent.
+    write!(out, "{v}")?;
+    if v.fract() == 0.0 {
+        out.write_all(b".0")?;
     }
+    Ok(())
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+fn write_json_string(out: &mut impl io::Write, s: &str) -> io::Result<()> {
+    out.write_all(b"\"")?;
+    let bytes = s.as_bytes();
+    // Every escaped character is ASCII, so plain runs end on char
+    // boundaries.
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => b"",
+            _ => continue,
+        };
+        out.write_all(&bytes[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_all(escape)?;
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_all(&bytes[run..])?;
+    out.write_all(b"\"")
 }
 
 /// A JSON parse error: what went wrong and the byte offset it went wrong at.
@@ -700,60 +832,6 @@ pub fn run_result_from_json(
     })
 }
 
-/// A fleet result: the per-member runs in member order *first*, then the
-/// aggregates. Runs-first is what lets `--stream-out` write each run the
-/// moment it finishes — the aggregate block only becomes computable once
-/// the last member completes, so it closes the object (see
-/// [`crate::stream::JsonRunsWriter`]).
-#[must_use]
-pub fn fleet_result_json(f: &FleetResult) -> JsonValue {
-    let mut o = JsonValue::object();
-    o.push(
-        "runs",
-        JsonValue::Array(f.runs.iter().map(run_result_json).collect()),
-    );
-    let JsonValue::Object(aggregates) = fleet_aggregates_json(f) else {
-        unreachable!("fleet_aggregates_json builds an object");
-    };
-    let JsonValue::Object(entries) = &mut o else {
-        unreachable!("o is an object");
-    };
-    entries.extend(aggregates);
-    o
-}
-
-/// The aggregate block of [`fleet_result_json`] — everything after the
-/// `runs` array, as its own object. Split out so the streaming writer can
-/// emit bytes identical to the buffered exporter.
-#[must_use]
-pub fn fleet_aggregates_json(f: &FleetResult) -> JsonValue {
-    let mut o = JsonValue::object();
-    o.push("servers", JsonValue::UInt(f.servers() as u64))
-        .push(
-            "total_completed_requests",
-            JsonValue::UInt(f.total_completed_requests()),
-        )
-        .push(
-            "aggregate_throughput_rps",
-            JsonValue::Float(f.aggregate_throughput()),
-        )
-        .push("total_power_w", JsonValue::Float(f.total_power_w()))
-        .push("mean_soc_power_w", JsonValue::Float(f.mean_soc_power_w()))
-        .push(
-            "mean_pc1a_residency",
-            JsonValue::Float(f.mean_pc1a_residency()),
-        )
-        .push(
-            "mean_latency_ns",
-            JsonValue::UInt(f.mean_latency().as_nanos()),
-        )
-        .push("combined_latency", latency_json(&f.combined_latency()))
-        .push("worst_p99_ns", JsonValue::UInt(f.worst_p99().as_nanos()))
-        .push("worst_p999_ns", JsonValue::UInt(f.worst_p999().as_nanos()))
-        .push("events_dispatched", JsonValue::UInt(f.events_dispatched()));
-    o
-}
-
 /// A quantile sketch as JSON: its parameters, the exact scalars
 /// (count/sum/min/max) and the non-zero log-buckets as `[index, count]`
 /// pairs. The `sum` is a `u128` and exports as a decimal *string* — JSON
@@ -925,66 +1003,6 @@ pub fn network_stats_json(n: &NetworkStats) -> JsonValue {
         })
         .collect();
     o.push("per_link", JsonValue::Array(per_link));
-    o
-}
-
-/// A cluster result: policy, routing census, then the per-node fleet.
-/// The `network` key appears only when the run crossed a fabric.
-#[must_use]
-pub fn cluster_result_json(c: &ClusterResult) -> JsonValue {
-    let mut o = JsonValue::object();
-    o.push("policy", JsonValue::Str(c.policy.to_owned()))
-        .push("duration_ns", JsonValue::UInt(c.duration.as_nanos()))
-        .push(
-            "routed",
-            JsonValue::Array(c.routed.iter().map(|&n| JsonValue::UInt(n)).collect()),
-        )
-        .push("total_routed", JsonValue::UInt(c.total_routed()))
-        .push("routing_imbalance", JsonValue::Float(c.routing_imbalance()))
-        .push(
-            "idle_periods_20_200us",
-            JsonValue::Float(c.idle_periods_20_200us()),
-        )
-        .push("events_dispatched", JsonValue::UInt(c.events_dispatched));
-    if let Some(net) = &c.network {
-        o.push("network", network_stats_json(net));
-    }
-    if let Some(profile) = &c.profile {
-        o.push("profile", profile_report_json(profile));
-    }
-    o.push("nodes", fleet_result_json(&c.nodes));
-    o
-}
-
-/// A chain result: policy and graph shape, the chain-latency percentiles
-/// (end-to-end root→last-join plus the leaf-straggler breakdown), the
-/// routing census and the per-node fleet. The `network` key appears only
-/// when the run crossed a fabric.
-#[must_use]
-pub fn chain_result_json(c: &ChainResult) -> JsonValue {
-    let mut o = JsonValue::object();
-    o.push("policy", JsonValue::Str(c.policy.to_owned()))
-        .push("graph", JsonValue::Str(c.graph.clone()))
-        .push("duration_ns", JsonValue::UInt(c.duration.as_nanos()))
-        .push("chains_started", JsonValue::UInt(c.chains_started))
-        .push("chains_completed", JsonValue::UInt(c.chains_completed))
-        .push("chains_per_sec", JsonValue::Float(c.chains_per_sec()))
-        .push("chain_latency", latency_json(&c.chain_latency))
-        .push("straggler", latency_json(&c.straggler))
-        .push(
-            "routed",
-            JsonValue::Array(c.routed.iter().map(|&n| JsonValue::UInt(n)).collect()),
-        )
-        .push("total_routed", JsonValue::UInt(c.total_routed()))
-        .push("routing_imbalance", JsonValue::Float(c.routing_imbalance()))
-        .push("events_dispatched", JsonValue::UInt(c.events_dispatched));
-    if let Some(net) = &c.network {
-        o.push("network", network_stats_json(net));
-    }
-    if let Some(profile) = &c.profile {
-        o.push("profile", profile_report_json(profile));
-    }
-    o.push("nodes", fleet_result_json(&c.nodes));
     o
 }
 
@@ -1171,284 +1189,6 @@ pub fn chrome_trace_json(log: &TraceLog) -> JsonValue {
     o
 }
 
-// ---- result -> CSV -----------------------------------------------------
-
-/// The CSV column set shared by every run-level export, in order.
-pub const RUN_CSV_HEADER: &str = "config,workload,offered_rate_rps,duration_ns,\
-completed_requests,throughput_rps,mean_ns,p50_ns,p95_ns,p99_ns,p999_ns,max_ns,\
-avg_soc_power_w,avg_dram_power_w,cpu_utilization,cc0_fraction,cc1_fraction,\
-cc6_fraction,all_idle_fraction,pc1a_residency,pc6_residency,pc1a_transitions,\
-pc1a_aborted,pc6_transitions,idle_periods,idle_periods_20_200us";
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    }
-    // Non-finite values export as an empty cell.
-}
-
-fn run_csv_row(out: &mut String, r: &RunResult) {
-    let _ = write!(
-        out,
-        "{},{},",
-        csv_escape(r.config_name),
-        csv_escape(r.workload)
-    );
-    push_f64(out, r.offered_rate);
-    let _ = write!(out, ",{},{},", r.duration.as_nanos(), r.completed_requests);
-    push_f64(out, r.throughput());
-    let l = &r.latency;
-    let _ = write!(
-        out,
-        ",{},{},{},{},{},{},",
-        l.mean.as_nanos(),
-        l.p50.as_nanos(),
-        l.p95.as_nanos(),
-        l.p99.as_nanos(),
-        l.p999.as_nanos(),
-        l.max.as_nanos()
-    );
-    for (i, v) in [
-        r.avg_soc_power.as_f64(),
-        r.avg_dram_power.as_f64(),
-        r.cpu_utilization,
-        r.cc0_fraction,
-        r.cc1_fraction,
-        r.cc6_fraction,
-        r.all_idle_fraction,
-        r.pc1a_residency,
-        r.pc6_residency,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
-    }
-    let _ = write!(
-        out,
-        ",{},{},{},{},",
-        r.pc1a_transitions, r.pc1a_aborted, r.pc6_transitions, r.idle_periods
-    );
-    push_f64(out, r.idle_periods_20_200us);
-    out.push('\n');
-}
-
-/// Quotes a CSV cell when it contains separators or quotes. The built-in
-/// names never need it, but custom workload names flow through here too.
-#[must_use]
-pub fn csv_escape(cell: &str) -> String {
-    if cell.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_owned()
-    }
-}
-
-/// One labelled run row of [`run_results_csv`], newline-terminated — the
-/// unit the streaming CSV writer emits per finished run.
-#[must_use]
-pub fn run_csv_line(label: &str, r: &RunResult) -> String {
-    let mut out = format!("{},", csv_escape(label));
-    run_csv_row(&mut out, r);
-    out
-}
-
-/// Labelled run results as CSV: a `label` column (the caller's row names —
-/// member indices, sweep points) followed by [`RUN_CSV_HEADER`].
-#[must_use]
-pub fn run_results_csv<'a>(rows: impl IntoIterator<Item = (&'a str, &'a RunResult)>) -> String {
-    let mut out = format!("label,{RUN_CSV_HEADER}\n");
-    for (label, r) in rows {
-        out.push_str(&run_csv_line(label, r));
-    }
-    out
-}
-
-/// A fleet result as CSV: one row per member, labelled `server <i>`.
-#[must_use]
-pub fn fleet_csv(f: &FleetResult) -> String {
-    let labels: Vec<String> = (0..f.runs.len()).map(|i| format!("server {i}")).collect();
-    run_results_csv(
-        labels
-            .iter()
-            .map(String::as_str)
-            .zip(f.runs.iter())
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// The CSV columns carrying the network-fabric census. Emitted only when
-/// at least one exported result crossed a fabric, so fabric-less exports
-/// keep their historical shape byte for byte.
-pub const NETWORK_CSV_COLUMNS: &str =
-    "net_topology,net_link_latency_ns,net_messages,net_mean_wire_delay_ns,net_max_wire_delay_ns";
-
-/// Writes the [`NETWORK_CSV_COLUMNS`] cells (no trailing separator); a run
-/// without a fabric exports empty cells.
-fn push_network_cells(out: &mut String, n: Option<&NetworkStats>) {
-    match n {
-        Some(n) => {
-            let _ = write!(
-                out,
-                "{},{},{},{},{}",
-                csv_escape(n.config.topology.name()),
-                n.config.link_latency.as_nanos(),
-                n.messages,
-                n.mean_wire_delay().as_nanos(),
-                n.max_wire_delay.as_nanos()
-            );
-        }
-        None => out.push_str(",,,,"),
-    }
-}
-
-/// The header line of the cluster CSV export, newline-terminated: one row
-/// per node of every cluster run, `repeat,node,policy,routed,` then the run
-/// columns. `with_network` inserts the [`NETWORK_CSV_COLUMNS`] between
-/// `routed` and the run columns; pass whether any exported result crossed
-/// a fabric (for a spec run that is known up front: every repeat shares the
-/// spec's `[network]` table).
-#[must_use]
-pub fn cluster_csv_header(with_network: bool) -> String {
-    if with_network {
-        format!("repeat,node,policy,routed,{NETWORK_CSV_COLUMNS},{RUN_CSV_HEADER}\n")
-    } else {
-        format!("repeat,node,policy,routed,{RUN_CSV_HEADER}\n")
-    }
-}
-
-/// The rows of one cluster run (one per node) under
-/// [`cluster_csv_header`], newline-terminated — the unit the CSV writer
-/// emits per finished repeat. `with_network` must match the header's.
-#[must_use]
-pub fn cluster_csv_rows(repeat: usize, c: &ClusterResult, with_network: bool) -> String {
-    let mut out = String::new();
-    for (i, r) in c.nodes.runs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{repeat},{i},{},{},",
-            csv_escape(c.policy),
-            c.routed.get(i).copied().unwrap_or(0)
-        );
-        if with_network {
-            push_network_cells(&mut out, c.network.as_ref());
-            out.push(',');
-        }
-        run_csv_row(&mut out, r);
-    }
-    out
-}
-
-/// The CSV column set of chain-level exports, in order: identity, chain
-/// census, end-to-end latency percentiles (p50/p99/p999 and mean/max), the
-/// leaf-straggler breakdown, routing spread and fleet power/residency
-/// aggregates. One row summarises one chain run — the percentile columns
-/// are the chain-level tail the per-node `RUN_CSV_HEADER` cannot express.
-pub const CHAIN_CSV_HEADER: &str = "repeat,policy,graph,duration_ns,\
-chains_started,chains_completed,chains_per_sec,e2e_mean_ns,e2e_p50_ns,\
-e2e_p99_ns,e2e_p999_ns,e2e_max_ns,straggler_p50_ns,straggler_p99_ns,\
-straggler_p999_ns,total_routed,routing_imbalance,fleet_power_w,\
-mean_pc1a_residency,worst_rpc_p99_ns";
-
-/// The header line of [`chain_results_csv`], newline-terminated.
-/// `with_network` appends the [`NETWORK_CSV_COLUMNS`] (see
-/// [`cluster_csv_header`] for the streaming contract).
-#[must_use]
-pub fn chain_csv_header(with_network: bool) -> String {
-    if with_network {
-        format!("{CHAIN_CSV_HEADER},{NETWORK_CSV_COLUMNS}\n")
-    } else {
-        format!("{CHAIN_CSV_HEADER}\n")
-    }
-}
-
-/// The single row one chain run contributes to [`chain_results_csv`],
-/// newline-terminated. `with_network` must match the header's.
-#[must_use]
-pub fn chain_csv_row(repeat: usize, c: &ChainResult, with_network: bool) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{repeat},{},{},{},{},{},",
-        csv_escape(c.policy),
-        csv_escape(&c.graph),
-        c.duration.as_nanos(),
-        c.chains_started,
-        c.chains_completed,
-    );
-    push_f64(&mut out, c.chains_per_sec());
-    let _ = write!(
-        out,
-        ",{},{},{},{},{},{},{},{},{},",
-        c.chain_latency.mean.as_nanos(),
-        c.chain_latency.p50.as_nanos(),
-        c.chain_latency.p99.as_nanos(),
-        c.chain_latency.p999.as_nanos(),
-        c.chain_latency.max.as_nanos(),
-        c.straggler.p50.as_nanos(),
-        c.straggler.p99.as_nanos(),
-        c.straggler.p999.as_nanos(),
-        c.total_routed(),
-    );
-    push_f64(&mut out, c.routing_imbalance());
-    out.push(',');
-    push_f64(&mut out, c.nodes.total_power_w());
-    out.push(',');
-    push_f64(&mut out, c.nodes.mean_pc1a_residency());
-    let _ = write!(out, ",{}", c.nodes.worst_p99().as_nanos());
-    if with_network {
-        out.push(',');
-        push_network_cells(&mut out, c.network.as_ref());
-    }
-    out.push('\n');
-    out
-}
-
-/// Several chain runs (e.g. repeats of one spec, or one run per platform)
-/// as a single CSV, one row per run (see [`CHAIN_CSV_HEADER`]). When any
-/// run crossed a network fabric, the [`NETWORK_CSV_COLUMNS`] are appended
-/// after the chain columns.
-#[must_use]
-pub fn chain_results_csv(results: &[ChainResult]) -> String {
-    let with_network = results.iter().any(|c| c.network.is_some());
-    let mut out = chain_csv_header(with_network);
-    for (repeat, c) in results.iter().enumerate() {
-        out.push_str(&chain_csv_row(repeat, c, with_network));
-    }
-    out
-}
-
-/// A time series as CSV (`at_ns,soc_power_w,queue_depth,busy_cores,`
-/// `package_state,pc0_delta_ns,pc0_idle_delta_ns,pc1a_delta_ns,pc6_delta_ns`),
-/// one row per sample — the format the paper's time-domain figures plot.
-/// `node` labels the rows so multi-node series can be concatenated.
-#[must_use]
-pub fn timeseries_csv(node: &str, ts: &TimeSeries) -> String {
-    let mut out = String::from(
-        "node,at_ns,soc_power_w,queue_depth,busy_cores,package_state,\
-pc0_delta_ns,pc0_idle_delta_ns,pc1a_delta_ns,pc6_delta_ns\n",
-    );
-    for s in ts.samples() {
-        let _ = write!(out, "{},{},", csv_escape(node), s.at.as_nanos());
-        push_f64(&mut out, s.soc_power_w);
-        let _ = writeln!(
-            out,
-            ",{},{},{:?},{},{},{},{}",
-            s.queue_depth,
-            s.busy_cores,
-            s.package_state,
-            s.pc0_delta.as_nanos(),
-            s.pc0_idle_delta.as_nanos(),
-            s.pc1a_delta.as_nanos(),
-            s.pc6_delta.as_nanos()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1472,15 +1212,63 @@ mod tests {
 
     #[test]
     fn float_formatting_is_fixed() {
-        let mut s = String::new();
-        write_f64(&mut s, 50.18249155799904);
-        assert_eq!(s, "50.18249155799904");
-        s.clear();
-        write_f64(&mut s, 4000.0);
-        assert_eq!(s, "4000.0", "integral floats keep a fractional part");
-        s.clear();
-        write_f64(&mut s, f64::NAN);
-        assert_eq!(s, "null");
+        let text = |v: f64| JsonValue::Float(v).to_compact_string();
+        assert_eq!(text(50.18249155799904), "50.18249155799904");
+        assert_eq!(
+            text(4000.0),
+            "4000.0",
+            "integral floats keep a fractional part"
+        );
+        assert_eq!(text(-0.0), "-0.0");
+        assert_eq!(text(1e21), "1000000000000000000000.0", "never an exponent");
+        assert_eq!(text(1e-7), "0.0000001");
+        assert_eq!(text(f64::NAN), "null");
+        assert_eq!(text(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn incremental_writing_matches_tree_serialisation() {
+        let mut tree = JsonValue::object();
+        tree.push("empty", JsonValue::Array(Vec::new()))
+            .push("s", JsonValue::Str("a\u{1}\"é".to_owned()))
+            .push(
+                "rows",
+                JsonValue::Array(vec![JsonValue::Int(1), JsonValue::object()]),
+            );
+        for pretty in [true, false] {
+            let mut json = if pretty {
+                JsonWriter::pretty(Vec::new())
+            } else {
+                JsonWriter::compact(Vec::new())
+            };
+            json.begin_object().unwrap();
+            json.key("empty").unwrap();
+            json.begin_array().unwrap();
+            json.end().unwrap();
+            json.key("s").unwrap();
+            json.value(&JsonValue::Str("a\u{1}\"é".to_owned())).unwrap();
+            json.key("rows").unwrap();
+            json.begin_array().unwrap();
+            json.value(&JsonValue::Int(1)).unwrap();
+            json.value(&JsonValue::object()).unwrap();
+            json.end().unwrap();
+            json.end().unwrap();
+            let text = String::from_utf8(json.finish().unwrap()).unwrap();
+            let expected = if pretty {
+                tree.to_pretty_string()
+            } else {
+                tree.to_compact_string()
+            };
+            assert_eq!(text, expected);
+        }
+        assert_eq!(
+            tree.to_compact_string(),
+            r#"{"empty":[],"s":"a\u0001\"é","rows":[1,{}]}"#
+        );
+        assert_eq!(
+            tree.to_pretty_string(),
+            "{\n  \"empty\": [],\n  \"s\": \"a\\u0001\\\"é\",\n  \"rows\": [\n    1,\n    {}\n  ]\n}\n"
+        );
     }
 
     #[test]
@@ -1684,12 +1472,5 @@ mod tests {
         };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["engine", "events"]);
-    }
-
-    #[test]
-    fn csv_escaping_quotes_separators() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("q\"q"), "\"q\"\"q\"");
     }
 }

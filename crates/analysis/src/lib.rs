@@ -6,10 +6,13 @@
 //!   (#transitions × transition cost vs. baseline latency);
 //! * [`report`] — fixed-width table rendering shared by the experiment
 //!   harnesses;
-//! * [`export`] — deterministic JSON/CSV export of run, fleet, cluster and
-//!   time-series results (the `apc-cli` output layer);
-//! * [`stream`] — incremental writers over the same formats, byte-identical
-//!   to the buffered exporters (the `apc-cli --stream-out` output layer).
+//! * [`export`] — the hand-rolled JSON value, its one printer
+//!   ([`export::JsonWriter`]) and parser, and the JSON form of every
+//!   per-run record (runs, sketches, time series, fabric stats, profiles,
+//!   Chrome traces);
+//! * [`artefact`] — the one writer of every JSON/CSV result artefact and of
+//!   the time-series CSV, streamed or buffered (the `apc-cli` output
+//!   layer).
 //!
 //! # Example
 //!
@@ -29,11 +32,11 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod artefact;
 pub mod export;
 pub mod impact;
 pub mod report;
 pub mod savings;
-pub mod stream;
 
 pub use export::JsonValue;
 pub use impact::ImpactInputs;

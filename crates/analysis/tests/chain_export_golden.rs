@@ -1,7 +1,7 @@
 //! Golden-file tests of the chain exporters: the exact JSON and CSV bytes
 //! one fixed-seed fan-out run produces.
 //!
-//! Captured from `chain_result_json` / `chain_results_csv` on the pinned
+//! Captured from the chain JSON element and chain CSV exporters on the pinned
 //! run (CPC1A, 2 nodes, `1x frontend -> 2x kv-get`, 4 K chains/s, 2 ms
 //! window, seed 7). Like `export_golden.rs`, these pin the exporters' field
 //! order / float formatting *and* the chain simulation's determinism on the
@@ -14,12 +14,25 @@
 //! restructured runs-first
 //! with a `combined_latency` aggregate for the streaming exporters.
 
-use apc_analysis::export::{chain_result_json, chain_results_csv, JsonValue, CHAIN_CSV_HEADER};
+use apc_analysis::artefact::{render, Format, Results, CHAIN_CSV_HEADER};
+use apc_analysis::export::JsonValue;
 use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::chain::{run_chain_experiment, ChainMember, ChainResult, RequestGraph};
 use apc_server::config::ServerConfig;
 use apc_sim::SimDuration;
+
+/// The chain JSON artefact of `result`: a one-element array.
+fn chain_json(result: ChainResult) -> String {
+    render(Format::Json, &Results::Chains(&[result]))
+}
+
+/// The artefact holding one chain object: the object indented as the one
+/// element of the top-level array.
+fn as_only_element(object: &str) -> String {
+    let indented: Vec<String> = object.lines().map(|line| format!("  {line}")).collect();
+    format!("[\n{}\n]\n", indented.join("\n"))
+}
 
 fn golden_chain_run() -> ChainResult {
     run_chain_experiment(
@@ -166,14 +179,14 @@ mean_pc1a_residency,worst_rpc_p99_ns\n\
 
 #[test]
 fn chain_json_export_matches_golden_bytes() {
-    let text = chain_result_json(&golden_chain_run()).to_pretty_string();
-    assert_eq!(text, GOLDEN_CHAIN_JSON);
+    let text = chain_json(golden_chain_run());
+    assert_eq!(text, as_only_element(GOLDEN_CHAIN_JSON));
 }
 
 #[test]
 fn chain_csv_export_matches_golden_bytes() {
     let result = golden_chain_run();
-    let text = chain_results_csv(std::slice::from_ref(&result));
+    let text = render(Format::Csv, &Results::Chains(std::slice::from_ref(&result)));
     assert_eq!(text, GOLDEN_CHAIN_CSV);
     assert!(text.starts_with(CHAIN_CSV_HEADER));
 }
@@ -441,14 +454,14 @@ net_messages,net_mean_wire_delay_ns,net_max_wire_delay_ns\n\
 
 #[test]
 fn network_chain_json_export_matches_golden_bytes() {
-    let text = chain_result_json(&golden_network_chain_run()).to_pretty_string();
-    assert_eq!(text, GOLDEN_NETWORK_CHAIN_JSON);
+    let text = chain_json(golden_network_chain_run());
+    assert_eq!(text, as_only_element(GOLDEN_NETWORK_CHAIN_JSON));
 }
 
 #[test]
 fn network_chain_csv_export_matches_golden_bytes() {
     let result = golden_network_chain_run();
-    let text = chain_results_csv(std::slice::from_ref(&result));
+    let text = render(Format::Csv, &Results::Chains(std::slice::from_ref(&result)));
     assert_eq!(text, GOLDEN_NETWORK_CHAIN_CSV);
     // The network columns extend the fabric-less header, never reorder it.
     assert!(text.starts_with(CHAIN_CSV_HEADER));

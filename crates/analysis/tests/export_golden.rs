@@ -13,9 +13,8 @@
 //! clamped to the exact min/max), so p50/p95/p99/p999 shifted; count,
 //! mean and max are exact and did not change.
 
-use apc_analysis::export::{
-    fleet_csv, run_result_json, run_results_csv, timeseries_csv, JsonValue,
-};
+use apc_analysis::artefact::{render, render_series, Format, Results};
+use apc_analysis::export::{run_result_json, JsonValue};
 use apc_server::config::ServerConfig;
 use apc_server::fleet::{Fleet, FleetMember, FleetResult};
 use apc_server::result::RunResult;
@@ -91,8 +90,15 @@ fn json_export_matches_golden_bytes() {
 
 #[test]
 fn csv_export_matches_golden_bytes() {
-    let run = golden_run();
-    let text = run_results_csv([("run 0", &run)]);
+    let fleet = FleetResult::from(vec![golden_run()]);
+    let labels = ["run 0".to_owned()];
+    let text = render(
+        Format::Csv,
+        &Results::Runs {
+            labels: &labels,
+            fleet: &fleet,
+        },
+    );
     assert_eq!(text, GOLDEN_CSV);
 }
 
@@ -106,8 +112,13 @@ fn timeseries_csv_matches_golden_bytes() {
         WorkloadSpec::memcached_etc(),
         20_000.0,
     );
-    let ts = run.timeseries.as_ref().expect("series enabled");
-    assert_eq!(timeseries_csv("run 0", ts), GOLDEN_TIMESERIES_CSV);
+    let fleet = FleetResult::from(vec![run]);
+    let labels = ["run 0".to_owned()];
+    let series = render_series(&Results::Runs {
+        labels: &labels,
+        fleet: &fleet,
+    });
+    assert_eq!(series.as_deref(), Some(GOLDEN_TIMESERIES_CSV));
 }
 
 #[test]
@@ -152,9 +163,17 @@ fn exports_are_byte_identical_across_sequential_and_parallel_pools() {
     };
     let sequential = FleetResult::from(build(1).run());
     let parallel = FleetResult::from(build(8).run());
-    assert_eq!(fleet_csv(&sequential), fleet_csv(&parallel));
-    assert_eq!(
-        apc_analysis::export::fleet_result_json(&sequential).to_pretty_string(),
-        apc_analysis::export::fleet_result_json(&parallel).to_pretty_string()
-    );
+    let labels: Vec<String> = (0..4).map(|i| format!("server {i}")).collect();
+    for format in [Format::Csv, Format::Json] {
+        let [sequential, parallel] = [&sequential, &parallel].map(|fleet| {
+            render(
+                format,
+                &Results::Runs {
+                    labels: &labels,
+                    fleet,
+                },
+            )
+        });
+        assert_eq!(sequential, parallel, "{format:?}");
+    }
 }

@@ -62,9 +62,8 @@ pub use apc_workloads as workloads;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use apc_analysis::export::{
-        cluster_result_json, fleet_result_json, run_result_json, timeseries_csv, JsonValue,
-    };
+    pub use apc_analysis::artefact::{render, render_series, Format, Results};
+    pub use apc_analysis::export::{run_result_json, JsonValue};
     pub use apc_analysis::impact::ImpactInputs;
     pub use apc_analysis::report::TextTable;
     pub use apc_analysis::savings::{idle_savings, SavingsInputs};

@@ -35,7 +35,8 @@ mod stream_out;
 
 use std::fmt;
 
-use apc_analysis::export::{chrome_trace_json, csv_escape, JsonValue};
+use apc_analysis::artefact::{csv_escape, Format};
+use apc_analysis::export::{chrome_trace_json, JsonValue};
 use apc_analysis::report::TextTable;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::fleet::Fleet;
@@ -510,7 +511,7 @@ fn check_observability_flags(
 /// was requested, after rejecting the combinations it cannot serve. Tables
 /// need the whole result set for column widths, so streaming is json/csv
 /// only; `--out` would write the same artefact twice.
-fn stream_request(inv: &Invocation) -> Result<Option<(&str, OutputFormat)>, CliError> {
+fn stream_request(inv: &Invocation) -> Result<Option<(&str, Format)>, CliError> {
     let Some(path) = inv.flag("stream-out") else {
         return Ok(None);
     };
@@ -520,14 +521,13 @@ fn stream_request(inv: &Invocation) -> Result<Option<(&str, OutputFormat)>, CliE
                 .to_owned(),
         ));
     }
-    let format = inv.format()?;
-    if format == OutputFormat::Table {
+    let Some(format) = inv.format()?.artefact() else {
         return Err(CliError::Usage(
             "conflicting flags: `--stream-out` needs `--format json` or `--format csv` \
              (tables are rendered whole)"
                 .to_owned(),
         ));
-    }
+    };
     Ok(Some((path, format)))
 }
 
@@ -538,7 +538,7 @@ fn finish_streamed(
     inv: &Invocation,
     spec: &ExperimentSpec,
     path: &str,
-    format: OutputFormat,
+    format: Format,
 ) -> Result<String, CliError> {
     let plan = plan_spec(spec, inv.parallelism()?);
     let (outcome, mut stdout) = stream_out::execute_plan_streamed(
@@ -561,104 +561,59 @@ fn scenario_workloads(s: &Scenario) -> String {
 }
 
 fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
-    match inv.format()? {
+    const COLUMNS: [&str; 5] = ["name", "kind", "servers", "workloads", "description"];
+    // One row per library scenario, in the COLUMNS order.
+    let fleets = Scenario::library().into_iter().map(|s| {
+        let workloads = scenario_workloads(&s);
+        (s.name, "fleet", s.servers(), workloads, s.description)
+    });
+    let clusters = ClusterScenario::library().into_iter().map(|s| {
+        let workloads = s.workload.name().to_owned();
+        (s.name, "cluster", s.nodes, workloads, s.description)
+    });
+    let chains = ChainScenario::library()
+        .into_iter()
+        .map(|s| (s.name, "chain", s.nodes, s.graph.describe(), s.description));
+    let rows = fleets.chain(clusters).chain(chains);
+    Ok(match inv.format()? {
         OutputFormat::Table => {
-            let mut table = TextTable::new(
-                "scenario libraries",
-                &["name", "kind", "servers", "workloads", "description"],
-            );
-            for s in Scenario::library() {
+            let mut table = TextTable::new("scenario libraries", &COLUMNS);
+            for (name, kind, servers, workloads, description) in rows {
                 table.add_row(&[
-                    s.name.to_owned(),
-                    "fleet".to_owned(),
-                    s.servers().to_string(),
-                    scenario_workloads(&s),
-                    s.description.to_owned(),
+                    name.to_owned(),
+                    kind.to_owned(),
+                    servers.to_string(),
+                    workloads,
+                    description.to_owned(),
                 ]);
             }
-            for s in ClusterScenario::library() {
-                table.add_row(&[
-                    s.name.to_owned(),
-                    "cluster".to_owned(),
-                    s.nodes.to_string(),
-                    s.workload.name().to_owned(),
-                    s.description.to_owned(),
-                ]);
-            }
-            for s in ChainScenario::library() {
-                table.add_row(&[
-                    s.name.to_owned(),
-                    "chain".to_owned(),
-                    s.nodes.to_string(),
-                    s.graph.describe(),
-                    s.description.to_owned(),
-                ]);
-            }
-            Ok(table.render())
+            table.render()
         }
         OutputFormat::Json => {
-            let mut items = Vec::new();
-            for s in Scenario::library() {
+            let items = rows.map(|(name, kind, servers, workloads, description)| {
                 let mut o = JsonValue::object();
-                o.push("name", JsonValue::Str(s.name.to_owned()))
-                    .push("kind", JsonValue::Str("fleet".to_owned()))
-                    .push("servers", JsonValue::UInt(s.servers() as u64))
-                    .push("workloads", JsonValue::Str(scenario_workloads(&s)))
-                    .push("description", JsonValue::Str(s.description.to_owned()));
-                items.push(o);
-            }
-            for s in ClusterScenario::library() {
-                let mut o = JsonValue::object();
-                o.push("name", JsonValue::Str(s.name.to_owned()))
-                    .push("kind", JsonValue::Str("cluster".to_owned()))
-                    .push("servers", JsonValue::UInt(s.nodes as u64))
-                    .push("workloads", JsonValue::Str(s.workload.name().to_owned()))
-                    .push("description", JsonValue::Str(s.description.to_owned()));
-                items.push(o);
-            }
-            for s in ChainScenario::library() {
-                let mut o = JsonValue::object();
-                o.push("name", JsonValue::Str(s.name.to_owned()))
-                    .push("kind", JsonValue::Str("chain".to_owned()))
-                    .push("servers", JsonValue::UInt(s.nodes as u64))
-                    .push("workloads", JsonValue::Str(s.graph.describe()))
-                    .push("description", JsonValue::Str(s.description.to_owned()));
-                items.push(o);
-            }
-            Ok(JsonValue::Array(items).to_pretty_string())
+                o.push("name", JsonValue::Str(name.to_owned()))
+                    .push("kind", JsonValue::Str(kind.to_owned()))
+                    .push("servers", JsonValue::UInt(servers as u64))
+                    .push("workloads", JsonValue::Str(workloads))
+                    .push("description", JsonValue::Str(description.to_owned()));
+                o
+            });
+            JsonValue::Array(items.collect()).to_pretty_string()
         }
         OutputFormat::Csv => {
-            let mut out = String::from("name,kind,servers,workloads,description\n");
-            for s in Scenario::library() {
+            let mut out = format!("{}\n", COLUMNS.join(","));
+            for (name, kind, servers, workloads, description) in rows {
                 out.push_str(&format!(
-                    "{},fleet,{},{},{}\n",
-                    csv_escape(s.name),
-                    s.servers(),
-                    csv_escape(&scenario_workloads(&s)),
-                    csv_escape(s.description)
+                    "{},{kind},{servers},{},{}\n",
+                    csv_escape(name),
+                    csv_escape(&workloads),
+                    csv_escape(description)
                 ));
             }
-            for s in ClusterScenario::library() {
-                out.push_str(&format!(
-                    "{},cluster,{},{},{}\n",
-                    csv_escape(s.name),
-                    s.nodes,
-                    csv_escape(s.workload.name()),
-                    csv_escape(s.description)
-                ));
-            }
-            for s in ChainScenario::library() {
-                out.push_str(&format!(
-                    "{},chain,{},{},{}\n",
-                    csv_escape(s.name),
-                    s.nodes,
-                    csv_escape(&s.graph.describe()),
-                    csv_escape(s.description)
-                ));
-            }
-            Ok(out)
+            out
         }
-    }
+    })
 }
 
 fn cmd_run(inv: &Invocation) -> Result<String, CliError> {

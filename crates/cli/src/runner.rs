@@ -14,6 +14,7 @@
 use std::convert::Infallible;
 use std::fmt;
 
+use apc_analysis::artefact::{render, render_series, Format, Results, Shape};
 use apc_analysis::report::TextTable;
 use apc_server::chain::{ChainFleet, ChainMember, ChainResult, RequestGraph};
 use apc_server::cluster::{ClusterFleet, ClusterMember, ClusterResult};
@@ -26,7 +27,6 @@ use apc_trace::TraceLog;
 use apc_workloads::chain::TierService;
 
 use crate::spec::{ExperimentSpec, PlatformKind, SpecKind};
-use crate::stream_out::{ArtefactSink, Layout};
 
 /// The output format of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,6 +49,16 @@ impl OutputFormat {
             "json" => Some(OutputFormat::Json),
             "csv" => Some(OutputFormat::Csv),
             _ => None,
+        }
+    }
+
+    /// The artefact format, or `None` for tables (rendered whole, never
+    /// streamed).
+    pub(crate) fn artefact(self) -> Option<Format> {
+        match self {
+            OutputFormat::Table => None,
+            OutputFormat::Json => Some(Format::Json),
+            OutputFormat::Csv => Some(Format::Csv),
         }
     }
 }
@@ -225,18 +235,6 @@ struct NoSink;
 
 impl StreamSink<Infallible> for NoSink {}
 
-/// The three result shapes of an [`ExecutionPlan`] / [`Outcome`], each
-/// with its own artefact layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Shape {
-    /// Run-level results (single, fleet and sweep specs).
-    Runs,
-    /// Cluster repeats.
-    Clusters,
-    /// Chain repeats.
-    Chains,
-}
-
 /// The full sweep grid of a sweep spec, in declaration order
 /// (platform-major, then rates): one `(label, member)` per grid point.
 /// Grid index `i` of the returned vector is the *global point index* the
@@ -394,33 +392,22 @@ fn spec_member(spec: &ExperimentSpec, platform: PlatformKind, seed: u64) -> Flee
 
 impl Outcome {
     /// Renders the outcome in `format`. JSON and CSV are the `--stream-out`
-    /// artefact replayed into memory, so the two are the same bytes by
+    /// artefact written into memory, so the two are the same bytes by
     /// construction.
     #[must_use]
     pub fn render(&self, format: OutputFormat) -> String {
-        let (name, results) = match (self, format) {
-            (
-                Outcome::Runs {
-                    name,
-                    labels,
-                    fleet,
-                },
-                OutputFormat::Table,
-            ) => return runs_table(name, labels, &fleet.runs),
-            (Outcome::Clusters { name, results }, OutputFormat::Table) => (
+        if let Some(format) = format.artefact() {
+            return render(format, &self.results());
+        }
+        match self {
+            Outcome::Runs {
                 name,
-                results.iter().map(|r| r as &dyn fmt::Display).collect(),
-            ),
-            (Outcome::Chains { name, results }, OutputFormat::Table) => (
-                name,
-                results.iter().map(|r| r as &dyn fmt::Display).collect(),
-            ),
-            _ => {
-                let (artefact, _) = self.replay(Some(format), false);
-                return artefact.expect("an artefact was requested");
-            }
-        };
-        repeats_table(name, results)
+                labels,
+                fleet,
+            } => runs_table(name, labels, &fleet.runs),
+            Outcome::Clusters { name, results } => repeats_table(name, results),
+            Outcome::Chains { name, results } => repeats_table(name, results),
+        }
     }
 
     /// Merges every collected request-span log into one (the first log's
@@ -449,83 +436,25 @@ impl Outcome {
     }
 
     /// Renders every recorded time series as one concatenated CSV (the
-    /// `--timeseries-out` stream replayed into memory), or `None` when no
+    /// `--timeseries-out` stream written into memory), or `None` when no
     /// run recorded one.
     #[must_use]
     pub fn timeseries_csv(&self) -> Option<String> {
-        self.replay(None, true).1
+        render_series(&self.results())
     }
 
-    /// The result shape of this outcome.
-    fn shape(&self) -> Shape {
+    /// The finished results, as the artefact writers take them.
+    pub(crate) fn results(&self) -> Results<'_> {
         match self {
-            Outcome::Runs { .. } => Shape::Runs,
-            Outcome::Clusters { .. } => Shape::Clusters,
-            Outcome::Chains { .. } => Shape::Chains,
+            Outcome::Runs { labels, fleet, .. } => Results::Runs { labels, fleet },
+            Outcome::Clusters { results, .. } => Results::Clusters(results),
+            Outcome::Chains { results, .. } => Results::Chains(results),
         }
-    }
-
-    /// Feeds every result to `sink` in member order — what a streamed run
-    /// of the same plan handed it.
-    fn emit<E>(&self, sink: &mut impl StreamSink<E>) -> Result<(), E> {
-        match self {
-            Outcome::Runs { labels, fleet, .. } => {
-                for (i, (label, run)) in labels.iter().zip(&fleet.runs).enumerate() {
-                    sink.on_run(i, label, run)?;
-                }
-            }
-            Outcome::Clusters { results, .. } => {
-                for (i, result) in results.iter().enumerate() {
-                    sink.on_cluster(i, result)?;
-                }
-            }
-            Outcome::Chains { results, .. } => {
-                for (i, result) in results.iter().enumerate() {
-                    sink.on_chain(i, result)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Replays the outcome through the artefact sink into memory: the
-    /// `format` artefact when given, and the time series when `series` is
-    /// set (`None` when no run recorded one).
-    fn replay(
-        &self,
-        format: Option<OutputFormat>,
-        series: bool,
-    ) -> (Option<String>, Option<String>) {
-        let (repeats, with_network) = match self {
-            Outcome::Runs { fleet, .. } => (fleet.runs.len(), false),
-            Outcome::Clusters { results, .. } => {
-                (results.len(), results.iter().any(|r| r.network.is_some()))
-            }
-            Outcome::Chains { results, .. } => {
-                (results.len(), results.iter().any(|r| r.network.is_some()))
-            }
-        };
-        let layout = Layout {
-            shape: self.shape(),
-            repeats,
-            with_network,
-        };
-        let in_memory = "writing to memory cannot fail";
-        let mut sink = ArtefactSink::new(
-            format.map(|f| (Vec::new(), f)),
-            series.then(Vec::new),
-            layout,
-        )
-        .expect(in_memory);
-        self.emit(&mut sink).expect(in_memory);
-        let (artefact, series) = sink.finish(self).expect(in_memory);
-        let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("artefacts are UTF-8");
-        (artefact.map(text), series.map(text))
     }
 }
 
 /// The table of a cluster/chain outcome: one titled block per repeat.
-fn repeats_table(name: &str, results: Vec<&dyn fmt::Display>) -> String {
+fn repeats_table(name: &str, results: &[impl fmt::Display]) -> String {
     let mut out = String::new();
     for (i, result) in results.iter().enumerate() {
         if results.len() > 1 {
