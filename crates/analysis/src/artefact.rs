@@ -1,27 +1,23 @@
 //! Result artefacts: the one writer of every JSON/CSV result layout and of
 //! the time-series CSV.
 //!
-//! An artefact holds one of three result shapes:
+//! An artefact holds one [`Shape`] of results. Run-level JSON is the fleet
+//! object — the `runs` array, then the fleet aggregates (computable only
+//! once every member finished) and the `labels` array; cluster and chain
+//! JSON is an array with one element per repeat, each ending in its
+//! per-node fleet object. CSV is one labelled row per run, one row per
+//! node of every cluster repeat, or one row per chain repeat.
 //!
-//! * **runs** (single, fleet and sweep results) — JSON is the fleet object:
-//!   the `runs` array first, then the fleet aggregates (computable only once
-//!   every member finished) and the `labels` array; CSV is one labelled row
-//!   per run;
-//! * **clusters** — JSON is an array with one element per repeat (policy,
-//!   routing census, optional `network`/`profile`, then the per-node fleet
-//!   object); CSV is one row per node of every repeat;
-//! * **chains** — JSON as for clusters, with the chain census and chain
-//!   latency; CSV is one row per repeat.
-//!
-//! [`ArtefactWriter`] writes any of them into an [`io::Write`] one result at
-//! a time, flushing after each, so a reader tailing the file sees complete
-//! rows (CSV) or array elements (JSON) as the simulation progresses;
-//! [`SeriesWriter`] concatenates the recorded time series under one header.
-//! A buffered artefact ([`render`], [`render_series`]) is the same writers
-//! aimed at a `Vec<u8>`, so streamed and buffered artefacts are the same
-//! bytes by construction. JSON goes through [`JsonWriter`], the printer
-//! behind [`JsonValue`] serialisation; each run's JSON tree is freed as
-//! soon as it is written.
+//! [`ArtefactWriter`] writes an artefact into any [`io::Write`] one result
+//! at a time, flushing after each, so a reader tailing the file sees
+//! complete rows or array elements as the simulation progresses;
+//! [`SeriesWriter`] concatenates the recorded time series under one
+//! header. A buffered artefact ([`render`], [`render_series`]) is the same
+//! writers aimed at a `Vec<u8>`, so streamed and buffered artefacts are the
+//! same bytes by construction. JSON goes through [`JsonWriter`], the
+//! printer behind [`JsonValue`] serialisation, and each run's JSON tree is
+//! freed as soon as it is written. Every write method propagates the
+//! underlying writer's errors.
 //!
 //! # Example
 //!
@@ -65,7 +61,7 @@ pub enum Format {
     Csv,
 }
 
-/// The result shape an artefact holds (see the [module docs](self)).
+/// The result shape an artefact holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
     /// Run-level results (single, fleet and sweep).
@@ -76,51 +72,22 @@ pub enum Shape {
     Chains,
 }
 
-/// What fixes an artefact's layout before the first result arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Layout {
-    /// The result shape.
-    pub shape: Shape,
-    /// The cluster/chain repeat count: node series are labelled `node <i>`
-    /// for one repeat and `repeat <r> node <i>` for several.
-    pub repeats: usize,
-    /// Whether the results crossed a network fabric, which adds the
-    /// [`NETWORK_CSV_COLUMNS`] (a spec knows this up front: every repeat
-    /// shares its `[network]` table).
-    pub with_network: bool,
-}
-
 /// One finished result, handed to the writers in member order.
 #[derive(Debug, Clone, Copy)]
 pub enum Item<'a> {
-    /// A run-level result and its display label.
-    Run {
-        /// The row label (`run <i>`, `server <i>`, `<platform>@<rate>`).
-        label: &'a str,
-        /// The finished run.
-        run: &'a RunResult,
-    },
-    /// One cluster repeat.
-    Cluster {
-        /// The repeat index.
-        repeat: usize,
-        /// The finished cluster.
-        result: &'a ClusterResult,
-    },
-    /// One chain repeat.
-    Chain {
-        /// The repeat index.
-        repeat: usize,
-        /// The finished chain cluster.
-        result: &'a ChainResult,
-    },
+    /// A run and its row label (`run <i>`, `server <i>`, `<platform>@<rate>`).
+    Run(&'a str, &'a RunResult),
+    /// A cluster repeat and its index.
+    Cluster(usize, &'a ClusterResult),
+    /// A chain repeat and its index.
+    Chain(usize, &'a ChainResult),
 }
 
-/// A finished result set: what a run-level fleet object closes with, and
-/// what [`render`] replays.
+/// A finished result set: what a fleet object closes with, and what
+/// [`render`] replays.
 #[derive(Debug, Clone, Copy)]
 pub enum Results<'a> {
-    /// Run-level results with one label per run.
+    /// Run-level results.
     Runs {
         /// One label per run, in member order.
         labels: &'a [String],
@@ -134,47 +101,40 @@ pub enum Results<'a> {
 }
 
 impl<'a> Results<'a> {
-    /// The layout of this result set's artefact.
-    #[must_use]
-    pub fn layout(&self) -> Layout {
-        let (shape, repeats, with_network) = match self {
+    /// The shape, the repeat count and whether any result crossed a fabric.
+    fn layout(&self) -> (Shape, usize, bool) {
+        match self {
             Results::Runs { fleet, .. } => (Shape::Runs, fleet.runs.len(), false),
-            Results::Clusters(results) => (
+            Results::Clusters(r) => (
                 Shape::Clusters,
-                results.len(),
-                results.iter().any(|r| r.network.is_some()),
+                r.len(),
+                r.iter().any(|c| c.network.is_some()),
             ),
-            Results::Chains(results) => (
+            Results::Chains(r) => (
                 Shape::Chains,
-                results.len(),
-                results.iter().any(|r| r.network.is_some()),
+                r.len(),
+                r.iter().any(|c| c.network.is_some()),
             ),
-        };
-        Layout {
-            shape,
-            repeats,
-            with_network,
         }
     }
 
     /// Every result, in member order.
-    #[must_use]
-    pub fn items(&self) -> Vec<Item<'a>> {
+    fn items(&self) -> Vec<Item<'a>> {
         match *self {
             Results::Runs { labels, fleet } => labels
                 .iter()
                 .zip(&fleet.runs)
-                .map(|(label, run)| Item::Run { label, run })
+                .map(|(label, run)| Item::Run(label, run))
                 .collect(),
-            Results::Clusters(results) => results
+            Results::Clusters(r) => r
                 .iter()
                 .enumerate()
-                .map(|(repeat, result)| Item::Cluster { repeat, result })
+                .map(|(i, c)| Item::Cluster(i, c))
                 .collect(),
-            Results::Chains(results) => results
+            Results::Chains(r) => r
                 .iter()
                 .enumerate()
-                .map(|(repeat, result)| Item::Chain { repeat, result })
+                .map(|(i, c)| Item::Chain(i, c))
                 .collect(),
         }
     }
@@ -186,7 +146,8 @@ const IN_MEMORY: &str = "writing to memory cannot fail";
 /// aimed at memory.
 #[must_use]
 pub fn render(format: Format, results: &Results<'_>) -> String {
-    let mut writer = ArtefactWriter::new(Vec::new(), format, results.layout()).expect(IN_MEMORY);
+    let (shape, _, with_network) = results.layout();
+    let mut writer = ArtefactWriter::new(Vec::new(), format, shape, with_network).expect(IN_MEMORY);
     for item in results.items() {
         writer.push(item).expect(IN_MEMORY);
     }
@@ -197,7 +158,7 @@ pub fn render(format: Format, results: &Results<'_>) -> String {
 /// [`SeriesWriter`] aimed at memory), or `None` when no run recorded one.
 #[must_use]
 pub fn render_series(results: &Results<'_>) -> Option<String> {
-    let mut writer = SeriesWriter::new(Vec::new(), results.layout().repeats);
+    let mut writer = SeriesWriter::new(Vec::new(), results.layout().1);
     for item in results.items() {
         writer.push(item).expect(IN_MEMORY);
     }
@@ -223,17 +184,15 @@ enum Body<W: Write> {
 }
 
 impl<W: Write> ArtefactWriter<W> {
-    /// Opens the artefact: writes the CSV header, or the JSON document up
-    /// to its first result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures (as do the other methods).
-    pub fn new(mut out: W, format: Format, layout: Layout) -> io::Result<Self> {
+    /// Opens a `shape` artefact: writes the CSV header, or the JSON document
+    /// up to its first result. `with_network` adds the
+    /// [`NETWORK_CSV_COLUMNS`] (a spec knows it up front: every repeat
+    /// shares its `[network]` table).
+    pub fn new(mut out: W, format: Format, shape: Shape, with_network: bool) -> io::Result<Self> {
         let body = match format {
             Format::Json => {
                 let mut json = JsonWriter::pretty(out);
-                match layout.shape {
+                match shape {
                     Shape::Runs => open_fleet(&mut json)?,
                     Shape::Clusters | Shape::Chains => json.begin_array()?,
                 }
@@ -241,29 +200,22 @@ impl<W: Write> ArtefactWriter<W> {
                 Body::Json(json)
             }
             Format::Csv => {
-                out.write_all(csv_header(layout).as_bytes())?;
+                out.write_all(csv_header(shape, with_network).as_bytes())?;
                 out.flush()?;
                 Body::Csv(out)
             }
         };
-        Ok(ArtefactWriter {
-            body,
-            with_network: layout.with_network,
-        })
+        Ok(ArtefactWriter { body, with_network })
     }
 
     /// Appends one finished result and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn push(&mut self, item: Item<'_>) -> io::Result<()> {
         match &mut self.body {
             Body::Json(json) => {
                 match item {
-                    Item::Run { run, .. } => json.value(&run_result_json(run))?,
-                    Item::Cluster { result, .. } => write_cluster(json, result)?,
-                    Item::Chain { result, .. } => write_chain(json, result)?,
+                    Item::Run(_, run) => json.value(&run_result_json(run))?,
+                    Item::Cluster(_, c) => write_cluster(json, c)?,
+                    Item::Chain(_, c) => write_chain(json, c)?,
                 }
                 json.flush()
             }
@@ -277,10 +229,6 @@ impl<W: Write> ArtefactWriter<W> {
     /// Finishes the document and returns the underlying writer. `results`
     /// must be what was pushed: a fleet object closes with its aggregates
     /// and labels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn finish(self, results: &Results<'_>) -> io::Result<W> {
         match self.body {
             Body::Json(mut json) => {
@@ -300,8 +248,8 @@ impl<W: Write> ArtefactWriter<W> {
 
 // ---- JSON layouts ------------------------------------------------------
 
-/// Opens a fleet object up to its `runs` array, whose elements are
-/// [`run_result_json`] objects in member order.
+/// Opens a fleet object up to its `runs` array of [`run_result_json`]
+/// objects.
 fn open_fleet<W: Write>(json: &mut JsonWriter<W>) -> io::Result<()> {
     json.begin_object()?;
     json.key("runs")?;
@@ -315,44 +263,37 @@ fn close_fleet<W: Write>(
     f: &FleetResult,
     labels: Option<&[String]>,
 ) -> io::Result<()> {
+    use JsonValue::{Array, Float, Str, UInt};
     json.end()?;
-    let mut o = JsonValue::object();
-    o.push("servers", JsonValue::UInt(f.servers() as u64))
-        .push(
+    let mut o = JsonValue::from([
+        ("servers", UInt(f.servers() as u64)),
+        (
             "total_completed_requests",
-            JsonValue::UInt(f.total_completed_requests()),
-        )
-        .push(
-            "aggregate_throughput_rps",
-            JsonValue::Float(f.aggregate_throughput()),
-        )
-        .push("total_power_w", JsonValue::Float(f.total_power_w()))
-        .push("mean_soc_power_w", JsonValue::Float(f.mean_soc_power_w()))
-        .push(
-            "mean_pc1a_residency",
-            JsonValue::Float(f.mean_pc1a_residency()),
-        )
-        .push(
-            "mean_latency_ns",
-            JsonValue::UInt(f.mean_latency().as_nanos()),
-        )
-        .push("combined_latency", latency_json(&f.combined_latency()))
-        .push("worst_p99_ns", JsonValue::UInt(f.worst_p99().as_nanos()))
-        .push("worst_p999_ns", JsonValue::UInt(f.worst_p999().as_nanos()))
-        .push("events_dispatched", JsonValue::UInt(f.events_dispatched()));
+            UInt(f.total_completed_requests()),
+        ),
+        ("aggregate_throughput_rps", Float(f.aggregate_throughput())),
+        ("total_power_w", Float(f.total_power_w())),
+        ("mean_soc_power_w", Float(f.mean_soc_power_w())),
+        ("mean_pc1a_residency", Float(f.mean_pc1a_residency())),
+        ("mean_latency_ns", UInt(f.mean_latency().as_nanos())),
+        ("combined_latency", latency_json(&f.combined_latency())),
+        ("worst_p99_ns", UInt(f.worst_p99().as_nanos())),
+        ("worst_p999_ns", UInt(f.worst_p999().as_nanos())),
+        ("events_dispatched", UInt(f.events_dispatched())),
+    ]);
     if let Some(labels) = labels {
         o.push(
             "labels",
-            JsonValue::Array(labels.iter().map(|l| JsonValue::Str(l.clone())).collect()),
+            Array(labels.iter().map(|l| Str(l.clone())).collect()),
         );
     }
     json.members(&o)?;
     json.end()
 }
 
-/// Writes `head`'s members followed by the per-node fleet object under
-/// `nodes`, as one object — the element layout of clusters and chains.
-/// The `network` and `profile` keys appear only when present.
+/// Writes `head`'s members, the optional `network` and `profile`, then the
+/// per-node fleet object under `nodes`, as one object — the element layout
+/// of clusters and chains.
 fn write_with_nodes<W: Write>(
     json: &mut JsonWriter<W>,
     mut head: JsonValue,
@@ -379,38 +320,39 @@ fn write_with_nodes<W: Write>(
 
 /// One cluster result: policy, routing census, then the per-node fleet.
 fn write_cluster<W: Write>(json: &mut JsonWriter<W>, c: &ClusterResult) -> io::Result<()> {
-    let mut o = JsonValue::object();
-    o.push("policy", JsonValue::Str(c.policy.to_owned()))
-        .push("duration_ns", JsonValue::UInt(c.duration.as_nanos()))
-        .push("routed", routed_json(&c.routed))
-        .push("total_routed", JsonValue::UInt(c.total_routed()))
-        .push("routing_imbalance", JsonValue::Float(c.routing_imbalance()))
-        .push(
-            "idle_periods_20_200us",
-            JsonValue::Float(c.idle_periods_20_200us()),
-        )
-        .push("events_dispatched", JsonValue::UInt(c.events_dispatched));
-    write_with_nodes(json, o, c.network.as_ref(), c.profile.as_ref(), &c.nodes)
+    use JsonValue::{Float, Str, UInt};
+    let head = JsonValue::from([
+        ("policy", Str(c.policy.to_owned())),
+        ("duration_ns", UInt(c.duration.as_nanos())),
+        ("routed", routed_json(&c.routed)),
+        ("total_routed", UInt(c.total_routed())),
+        ("routing_imbalance", Float(c.routing_imbalance())),
+        ("idle_periods_20_200us", Float(c.idle_periods_20_200us())),
+        ("events_dispatched", UInt(c.events_dispatched)),
+    ]);
+    write_with_nodes(json, head, c.network.as_ref(), c.profile.as_ref(), &c.nodes)
 }
 
 /// One chain result: policy and graph shape, the chain-latency percentiles
 /// (end-to-end root→last-join plus the leaf-straggler breakdown), the
 /// routing census, then the per-node fleet.
 fn write_chain<W: Write>(json: &mut JsonWriter<W>, c: &ChainResult) -> io::Result<()> {
-    let mut o = JsonValue::object();
-    o.push("policy", JsonValue::Str(c.policy.to_owned()))
-        .push("graph", JsonValue::Str(c.graph.clone()))
-        .push("duration_ns", JsonValue::UInt(c.duration.as_nanos()))
-        .push("chains_started", JsonValue::UInt(c.chains_started))
-        .push("chains_completed", JsonValue::UInt(c.chains_completed))
-        .push("chains_per_sec", JsonValue::Float(c.chains_per_sec()))
-        .push("chain_latency", latency_json(&c.chain_latency))
-        .push("straggler", latency_json(&c.straggler))
-        .push("routed", routed_json(&c.routed))
-        .push("total_routed", JsonValue::UInt(c.total_routed()))
-        .push("routing_imbalance", JsonValue::Float(c.routing_imbalance()))
-        .push("events_dispatched", JsonValue::UInt(c.events_dispatched));
-    write_with_nodes(json, o, c.network.as_ref(), c.profile.as_ref(), &c.nodes)
+    use JsonValue::{Float, Str, UInt};
+    let head = JsonValue::from([
+        ("policy", Str(c.policy.to_owned())),
+        ("graph", Str(c.graph.clone())),
+        ("duration_ns", UInt(c.duration.as_nanos())),
+        ("chains_started", UInt(c.chains_started)),
+        ("chains_completed", UInt(c.chains_completed)),
+        ("chains_per_sec", Float(c.chains_per_sec())),
+        ("chain_latency", latency_json(&c.chain_latency)),
+        ("straggler", latency_json(&c.straggler)),
+        ("routed", routed_json(&c.routed)),
+        ("total_routed", UInt(c.total_routed())),
+        ("routing_imbalance", Float(c.routing_imbalance())),
+        ("events_dispatched", UInt(c.events_dispatched)),
+    ]);
+    write_with_nodes(json, head, c.network.as_ref(), c.profile.as_ref(), &c.nodes)
 }
 
 fn routed_json(routed: &[u64]) -> JsonValue {
@@ -474,9 +416,9 @@ impl fmt::Display for Float {
     }
 }
 
-/// The header line of an artefact, newline-terminated.
-fn csv_header(layout: Layout) -> String {
-    match (layout.shape, layout.with_network) {
+/// The header line of a CSV artefact, newline-terminated.
+fn csv_header(shape: Shape, with_network: bool) -> String {
+    match (shape, with_network) {
         (Shape::Runs, _) => format!("label,{RUN_CSV_HEADER}\n"),
         (Shape::Clusters, false) => format!("repeat,node,policy,routed,{RUN_CSV_HEADER}\n"),
         (Shape::Clusters, true) => {
@@ -492,11 +434,11 @@ fn csv_header(layout: Layout) -> String {
 fn csv_rows(item: Item<'_>, with_network: bool) -> String {
     let mut out = String::new();
     match item {
-        Item::Run { label, run } => {
+        Item::Run(label, run) => {
             let _ = write!(out, "{},", csv_escape(label));
             run_cells(&mut out, run);
         }
-        Item::Cluster { repeat, result: c } => {
+        Item::Cluster(repeat, c) => {
             for (i, run) in c.nodes.runs.iter().enumerate() {
                 let routed = c.routed.get(i).copied().unwrap_or(0);
                 let _ = write!(out, "{repeat},{i},{},{routed},", csv_escape(c.policy));
@@ -507,7 +449,7 @@ fn csv_rows(item: Item<'_>, with_network: bool) -> String {
                 run_cells(&mut out, run);
             }
         }
-        Item::Chain { repeat, result: c } => {
+        Item::Chain(repeat, c) => {
             let (e2e, straggler) = (&c.chain_latency, &c.straggler);
             let _ = write!(
                 out,
@@ -610,8 +552,8 @@ pub struct SeriesWriter<W: Write> {
 }
 
 impl<W: Write> SeriesWriter<W> {
-    /// Wraps `out`; `repeats` is the cluster/chain repeat count (see
-    /// [`Layout::repeats`]). Nothing is written until a series arrives.
+    /// Wraps `out`; `repeats` is the cluster/chain repeat count. Nothing is
+    /// written until a series arrives.
     pub fn new(out: W, repeats: usize) -> Self {
         SeriesWriter {
             out,
@@ -621,15 +563,11 @@ impl<W: Write> SeriesWriter<W> {
     }
 
     /// Appends the series one finished result recorded, and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn push(&mut self, item: Item<'_>) -> io::Result<()> {
         let (repeat, nodes) = match item {
-            Item::Run { label, run } => return self.series(label, run),
-            Item::Cluster { repeat, result } => (repeat, &result.nodes),
-            Item::Chain { repeat, result } => (repeat, &result.nodes),
+            Item::Run(label, run) => return self.series(label, run),
+            Item::Cluster(repeat, c) => (repeat, &c.nodes),
+            Item::Chain(repeat, c) => (repeat, &c.nodes),
         };
         for (i, run) in nodes.runs.iter().enumerate() {
             let label = if self.repeats > 1 {
@@ -644,10 +582,6 @@ impl<W: Write> SeriesWriter<W> {
 
     /// Returns the underlying writer, or `None` when no pushed run recorded
     /// a time series (nothing was written).
-    ///
-    /// # Errors
-    ///
-    /// Propagates flush failures.
     pub fn finish(mut self) -> io::Result<Option<W>> {
         if !self.any {
             return Ok(None);
@@ -770,7 +704,7 @@ mod tests {
             labels: &labels,
             fleet: &fleet,
         };
-        let mut writer = ArtefactWriter::new(Vec::new(), Format::Csv, results.layout()).unwrap();
+        let mut writer = ArtefactWriter::new(Vec::new(), Format::Csv, Shape::Runs, false).unwrap();
         for (pushed, item) in results.items().into_iter().enumerate() {
             writer.push(item).unwrap();
             let Body::Csv(out) = &writer.body else {

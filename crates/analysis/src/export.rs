@@ -144,6 +144,22 @@ impl JsonValue {
         }
     }
 
+    /// The unsigned-integer member `key` of an object, or an error naming
+    /// the record (`what`) and the key.
+    pub fn u64_member(&self, what: &str, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("{what}: missing or non-integer `{key}`"))
+    }
+
+    /// The numeric member `key` of an object, or an error naming the record
+    /// (`what`) and the key.
+    pub fn f64_member(&self, what: &str, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("{what}: missing or non-number `{key}`"))
+    }
+
     /// Serialises compactly (no whitespace).
     #[must_use]
     pub fn to_compact_string(&self) -> String {
@@ -164,6 +180,18 @@ impl JsonValue {
     }
 }
 
+/// An object with the given members, in order.
+impl<const N: usize> From<[(&str, JsonValue); N]> for JsonValue {
+    fn from(members: [(&str, JsonValue); N]) -> Self {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+}
+
 /// The one JSON printer: it serialises [`JsonValue`] trees
 /// ([`JsonValue::to_pretty_string`], [`JsonValue::to_compact_string`]) and
 /// writes documents incrementally into any [`io::Write`] — open a
@@ -174,7 +202,8 @@ impl JsonValue {
 ///
 /// Pretty output puts every member on its own line, indented two spaces
 /// per open container, and ends the document with a newline; empty
-/// containers print as `[]` / `{}`.
+/// containers print as `[]` / `{}`. Every method propagates the underlying
+/// writer's errors.
 #[derive(Debug)]
 pub struct JsonWriter<W> {
     out: W,
@@ -206,28 +235,16 @@ impl<W: io::Write> JsonWriter<W> {
     }
 
     /// Opens an object as the next value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures (as does every writing method).
     pub fn begin_object(&mut self) -> io::Result<()> {
         self.begin(b'{', b'}')
     }
 
     /// Opens an array as the next value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn begin_array(&mut self) -> io::Result<()> {
         self.begin(b'[', b']')
     }
 
     /// Closes the innermost open container.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     ///
     /// # Panics
     ///
@@ -241,10 +258,6 @@ impl<W: io::Write> JsonWriter<W> {
     }
 
     /// Writes an object key; the next value written is its value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn key(&mut self, key: &str) -> io::Result<()> {
         self.member()?;
         write_json_string(&mut self.out, key)?;
@@ -255,10 +268,6 @@ impl<W: io::Write> JsonWriter<W> {
 
     /// Writes every member of `object` into the open object (a non-object
     /// writes nothing).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn members(&mut self, object: &JsonValue) -> io::Result<()> {
         if let JsonValue::Object(entries) = object {
             for (key, value) in entries {
@@ -270,10 +279,6 @@ impl<W: io::Write> JsonWriter<W> {
     }
 
     /// Writes a whole value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn value(&mut self, value: &JsonValue) -> io::Result<()> {
         match value {
             JsonValue::Array(items) => {
@@ -302,20 +307,12 @@ impl<W: io::Write> JsonWriter<W> {
     }
 
     /// Flushes the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flush failures.
     pub fn flush(&mut self) -> io::Result<()> {
         self.out.flush()
     }
 
     /// Ends the document (a pretty one with a newline), flushes and returns
     /// the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
     pub fn finish(mut self) -> io::Result<W> {
         debug_assert!(self.open.is_empty(), "unclosed JSON container");
         if self.pretty {
@@ -683,16 +680,17 @@ impl Parser<'_> {
 
 /// A latency summary as an object of nanosecond integers.
 #[must_use]
-pub fn latency_json(latency: &LatencySummary) -> JsonValue {
-    let mut o = JsonValue::object();
-    o.push("count", JsonValue::UInt(latency.count as u64))
-        .push("mean_ns", JsonValue::UInt(latency.mean.as_nanos()))
-        .push("p50_ns", JsonValue::UInt(latency.p50.as_nanos()))
-        .push("p95_ns", JsonValue::UInt(latency.p95.as_nanos()))
-        .push("p99_ns", JsonValue::UInt(latency.p99.as_nanos()))
-        .push("p999_ns", JsonValue::UInt(latency.p999.as_nanos()))
-        .push("max_ns", JsonValue::UInt(latency.max.as_nanos()));
-    o
+pub fn latency_json(l: &LatencySummary) -> JsonValue {
+    use JsonValue::UInt;
+    JsonValue::from([
+        ("count", UInt(l.count as u64)),
+        ("mean_ns", UInt(l.mean.as_nanos())),
+        ("p50_ns", UInt(l.p50.as_nanos())),
+        ("p95_ns", UInt(l.p95.as_nanos())),
+        ("p99_ns", UInt(l.p99.as_nanos())),
+        ("p999_ns", UInt(l.p999.as_nanos())),
+        ("max_ns", UInt(l.max.as_nanos())),
+    ])
 }
 
 /// One run's full result as an object (field order mirrors [`RunResult`]'s
@@ -700,38 +698,31 @@ pub fn latency_json(latency: &LatencySummary) -> JsonValue {
 /// The `timeseries` key appears only when the run recorded one.
 #[must_use]
 pub fn run_result_json(r: &RunResult) -> JsonValue {
-    let mut o = JsonValue::object();
-    o.push("config", JsonValue::Str(r.config_name.to_owned()))
-        .push("workload", JsonValue::Str(r.workload.to_owned()))
-        .push("offered_rate_rps", JsonValue::Float(r.offered_rate))
-        .push("duration_ns", JsonValue::UInt(r.duration.as_nanos()))
-        .push("completed_requests", JsonValue::UInt(r.completed_requests))
-        .push("throughput_rps", JsonValue::Float(r.throughput()))
-        .push("latency", latency_json(&r.latency))
-        .push(
-            "avg_soc_power_w",
-            JsonValue::Float(r.avg_soc_power.as_f64()),
-        )
-        .push(
-            "avg_dram_power_w",
-            JsonValue::Float(r.avg_dram_power.as_f64()),
-        )
-        .push("cpu_utilization", JsonValue::Float(r.cpu_utilization))
-        .push("cc0_fraction", JsonValue::Float(r.cc0_fraction))
-        .push("cc1_fraction", JsonValue::Float(r.cc1_fraction))
-        .push("cc6_fraction", JsonValue::Float(r.cc6_fraction))
-        .push("all_idle_fraction", JsonValue::Float(r.all_idle_fraction))
-        .push("pc1a_residency", JsonValue::Float(r.pc1a_residency))
-        .push("pc6_residency", JsonValue::Float(r.pc6_residency))
-        .push("pc1a_transitions", JsonValue::UInt(r.pc1a_transitions))
-        .push("pc1a_aborted", JsonValue::UInt(r.pc1a_aborted))
-        .push("pc6_transitions", JsonValue::UInt(r.pc6_transitions))
-        .push("idle_periods", JsonValue::UInt(r.idle_periods))
-        .push(
-            "idle_periods_20_200us",
-            JsonValue::Float(r.idle_periods_20_200us),
-        )
-        .push("events_dispatched", JsonValue::UInt(r.events_dispatched));
+    use JsonValue::{Float, Str, UInt};
+    let mut o = JsonValue::from([
+        ("config", Str(r.config_name.to_owned())),
+        ("workload", Str(r.workload.to_owned())),
+        ("offered_rate_rps", Float(r.offered_rate)),
+        ("duration_ns", UInt(r.duration.as_nanos())),
+        ("completed_requests", UInt(r.completed_requests)),
+        ("throughput_rps", Float(r.throughput())),
+        ("latency", latency_json(&r.latency)),
+        ("avg_soc_power_w", Float(r.avg_soc_power.as_f64())),
+        ("avg_dram_power_w", Float(r.avg_dram_power.as_f64())),
+        ("cpu_utilization", Float(r.cpu_utilization)),
+        ("cc0_fraction", Float(r.cc0_fraction)),
+        ("cc1_fraction", Float(r.cc1_fraction)),
+        ("cc6_fraction", Float(r.cc6_fraction)),
+        ("all_idle_fraction", Float(r.all_idle_fraction)),
+        ("pc1a_residency", Float(r.pc1a_residency)),
+        ("pc6_residency", Float(r.pc6_residency)),
+        ("pc1a_transitions", UInt(r.pc1a_transitions)),
+        ("pc1a_aborted", UInt(r.pc1a_aborted)),
+        ("pc6_transitions", UInt(r.pc6_transitions)),
+        ("idle_periods", UInt(r.idle_periods)),
+        ("idle_periods_20_200us", Float(r.idle_periods_20_200us)),
+        ("events_dispatched", UInt(r.events_dispatched)),
+    ]);
     if let Some(ts) = &r.timeseries {
         o.push("timeseries", timeseries_json(ts));
     }
@@ -760,16 +751,8 @@ pub fn run_result_from_json(
     sketch: QuantileSketch,
     finished_at: SimTime,
 ) -> Result<RunResult, String> {
-    fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("run: missing or non-integer `{key}`"))
-    }
-    fn f64_field(v: &JsonValue, key: &str) -> Result<f64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("run: missing or non-number `{key}`"))
-    }
+    let u64_field = |key| v.u64_member("run", key);
+    let f64_field = |key| v.f64_member("run", key);
     let config_name = match v.get("config").and_then(JsonValue::as_str) {
         Some("Cshallow") => "Cshallow",
         Some("Cdeep") => "Cdeep",
@@ -805,29 +788,29 @@ pub fn run_result_from_json(
     Ok(RunResult {
         config_name,
         workload,
-        offered_rate: f64_field(v, "offered_rate_rps")?,
-        duration: SimDuration::from_nanos(u64_field(v, "duration_ns")?),
-        completed_requests: u64_field(v, "completed_requests")?,
+        offered_rate: f64_field("offered_rate_rps")?,
+        duration: SimDuration::from_nanos(u64_field("duration_ns")?),
+        completed_requests: u64_field("completed_requests")?,
         latency,
         latency_sketch: sketch,
-        avg_soc_power: Watts(f64_field(v, "avg_soc_power_w")?),
-        avg_dram_power: Watts(f64_field(v, "avg_dram_power_w")?),
-        cpu_utilization: f64_field(v, "cpu_utilization")?,
-        cc0_fraction: f64_field(v, "cc0_fraction")?,
-        cc1_fraction: f64_field(v, "cc1_fraction")?,
-        cc6_fraction: f64_field(v, "cc6_fraction")?,
-        all_idle_fraction: f64_field(v, "all_idle_fraction")?,
-        pc1a_residency: f64_field(v, "pc1a_residency")?,
-        pc6_residency: f64_field(v, "pc6_residency")?,
-        pc1a_transitions: u64_field(v, "pc1a_transitions")?,
-        pc1a_aborted: u64_field(v, "pc1a_aborted")?,
-        pc6_transitions: u64_field(v, "pc6_transitions")?,
-        idle_periods: u64_field(v, "idle_periods")?,
-        idle_periods_20_200us: f64_field(v, "idle_periods_20_200us")?,
+        avg_soc_power: Watts(f64_field("avg_soc_power_w")?),
+        avg_dram_power: Watts(f64_field("avg_dram_power_w")?),
+        cpu_utilization: f64_field("cpu_utilization")?,
+        cc0_fraction: f64_field("cc0_fraction")?,
+        cc1_fraction: f64_field("cc1_fraction")?,
+        cc6_fraction: f64_field("cc6_fraction")?,
+        all_idle_fraction: f64_field("all_idle_fraction")?,
+        pc1a_residency: f64_field("pc1a_residency")?,
+        pc6_residency: f64_field("pc6_residency")?,
+        pc1a_transitions: u64_field("pc1a_transitions")?,
+        pc1a_aborted: u64_field("pc1a_aborted")?,
+        pc6_transitions: u64_field("pc6_transitions")?,
+        idle_periods: u64_field("idle_periods")?,
+        idle_periods_20_200us: f64_field("idle_periods_20_200us")?,
         timeseries,
         trace: None,
         profile: None,
-        events_dispatched: u64_field(v, "events_dispatched")?,
+        events_dispatched: u64_field("events_dispatched")?,
         finished_at,
     })
 }
@@ -840,36 +823,29 @@ pub fn run_result_from_json(
 /// on `parse(sketch_json(s)) == s`, bit for bit.
 #[must_use]
 pub fn sketch_json(s: &QuantileSketch) -> JsonValue {
+    use JsonValue::{Array, Float, Int, Str, UInt};
     let parts = s.parts();
-    let mut o = JsonValue::object();
-    o.push("relative_error", JsonValue::Float(parts.relative_error))
-        .push("max_buckets", JsonValue::UInt(parts.max_buckets as u64))
-        .push(
+    let buckets = parts.buckets.iter();
+    JsonValue::from([
+        ("relative_error", Float(parts.relative_error)),
+        ("max_buckets", UInt(parts.max_buckets as u64)),
+        (
             "floor_index",
-            parts
-                .floor_index
-                .map_or(JsonValue::Null, |i| JsonValue::Int(i64::from(i))),
-        )
-        .push("zero_count", JsonValue::UInt(parts.zero_count))
-        .push("sum", JsonValue::Str(parts.sum.to_string()))
-        .push("min_ns", JsonValue::UInt(parts.min))
-        .push("max_ns", JsonValue::UInt(parts.max))
-        .push(
+            parts.floor_index.map_or(JsonValue::Null, |i| Int(i.into())),
+        ),
+        ("zero_count", UInt(parts.zero_count)),
+        ("sum", Str(parts.sum.to_string())),
+        ("min_ns", UInt(parts.min)),
+        ("max_ns", UInt(parts.max)),
+        (
             "buckets",
-            JsonValue::Array(
-                parts
-                    .buckets
-                    .iter()
-                    .map(|&(index, count)| {
-                        JsonValue::Array(vec![
-                            JsonValue::Int(i64::from(index)),
-                            JsonValue::UInt(count),
-                        ])
-                    })
+            Array(
+                buckets
+                    .map(|&(i, n)| Array(vec![Int(i.into()), UInt(n)]))
                     .collect(),
             ),
-        );
-    o
+        ),
+    ])
 }
 
 /// Rebuilds a [`QuantileSketch`] from the [`sketch_json`] form.
@@ -879,15 +855,8 @@ pub fn sketch_json(s: &QuantileSketch) -> JsonValue {
 /// Returns a description of the first malformed or inconsistent field —
 /// missing keys, out-of-range parameters, unsorted buckets.
 pub fn sketch_from_json(v: &JsonValue) -> Result<QuantileSketch, String> {
-    fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("sketch: missing or non-integer `{key}`"))
-    }
-    let relative_error = v
-        .get("relative_error")
-        .and_then(JsonValue::as_f64)
-        .ok_or("sketch: missing or non-number `relative_error`")?;
+    let u64_field = |key| v.u64_member("sketch", key);
+    let relative_error = v.f64_member("sketch", "relative_error")?;
     let floor_index = match v.get("floor_index") {
         None => return Err("sketch: missing `floor_index`".to_owned()),
         Some(JsonValue::Null) => None,
@@ -930,13 +899,13 @@ pub fn sketch_from_json(v: &JsonValue) -> Result<QuantileSketch, String> {
             .collect::<Result<Vec<(i32, u64)>, String>>()?;
     let parts = SketchParts {
         relative_error,
-        max_buckets: usize::try_from(u64_field(v, "max_buckets")?)
+        max_buckets: usize::try_from(u64_field("max_buckets")?)
             .map_err(|_| "sketch: `max_buckets` out of range".to_owned())?,
         floor_index,
-        zero_count: u64_field(v, "zero_count")?,
+        zero_count: u64_field("zero_count")?,
         sum,
-        min: u64_field(v, "min_ns")?,
-        max: u64_field(v, "max_ns")?,
+        min: u64_field("min_ns")?,
+        max: u64_field("max_ns")?,
         buckets,
     };
     QuantileSketch::from_parts(&parts).map_err(|e| format!("sketch: {e}"))
@@ -951,92 +920,66 @@ pub fn sketch_from_json(v: &JsonValue) -> Result<QuantileSketch, String> {
 /// that never carried a message are omitted from `per_link`.
 #[must_use]
 pub fn network_stats_json(n: &NetworkStats) -> JsonValue {
+    use JsonValue::{Array, Str, UInt};
     let config = &n.config;
-    let mut o = JsonValue::object();
-    o.push(
-        "topology",
-        JsonValue::Str(config.topology.name().to_owned()),
-    )
-    .push(
-        "link_latency_ns",
-        JsonValue::UInt(config.link_latency.as_nanos()),
-    )
-    .push(
-        "bandwidth_bytes_per_sec",
-        config
-            .bandwidth_bytes_per_sec
-            .map_or(JsonValue::Null, JsonValue::UInt),
-    )
-    .push("rpc_bytes", JsonValue::UInt(config.rpc_bytes))
-    .push("messages", JsonValue::UInt(n.messages))
-    .push(
-        "total_wire_delay_ns",
-        JsonValue::UInt(n.total_wire_delay.as_nanos()),
-    )
-    .push(
-        "mean_wire_delay_ns",
-        JsonValue::UInt(n.mean_wire_delay().as_nanos()),
-    )
-    .push(
-        "max_wire_delay_ns",
-        JsonValue::UInt(n.max_wire_delay.as_nanos()),
-    );
-    let per_link: Vec<JsonValue> = n
-        .per_link
-        .iter()
-        .enumerate()
-        .filter(|(_, link)| link.messages != 0)
-        .map(|(id, link)| {
-            let mut l = JsonValue::object();
-            l.push("link", JsonValue::UInt(id as u64))
-                .push("messages", JsonValue::UInt(link.messages))
-                .push("busy_ns", JsonValue::UInt(link.busy_time.as_nanos()))
-                .push(
-                    "total_queue_delay_ns",
-                    JsonValue::UInt(link.total_queue_delay.as_nanos()),
-                )
-                .push(
-                    "max_queue_delay_ns",
-                    JsonValue::UInt(link.max_queue_delay.as_nanos()),
-                );
-            l
-        })
-        .collect();
-    o.push("per_link", JsonValue::Array(per_link));
-    o
+    let per_link = n.per_link.iter().enumerate();
+    JsonValue::from([
+        ("topology", Str(config.topology.name().to_owned())),
+        ("link_latency_ns", UInt(config.link_latency.as_nanos())),
+        (
+            "bandwidth_bytes_per_sec",
+            config.bandwidth_bytes_per_sec.map_or(JsonValue::Null, UInt),
+        ),
+        ("rpc_bytes", UInt(config.rpc_bytes)),
+        ("messages", UInt(n.messages)),
+        ("total_wire_delay_ns", UInt(n.total_wire_delay.as_nanos())),
+        ("mean_wire_delay_ns", UInt(n.mean_wire_delay().as_nanos())),
+        ("max_wire_delay_ns", UInt(n.max_wire_delay.as_nanos())),
+        (
+            "per_link",
+            Array(
+                per_link
+                    .filter(|(_, link)| link.messages != 0)
+                    .map(|(id, link)| {
+                        JsonValue::from([
+                            ("link", UInt(id as u64)),
+                            ("messages", UInt(link.messages)),
+                            ("busy_ns", UInt(link.busy_time.as_nanos())),
+                            (
+                                "total_queue_delay_ns",
+                                UInt(link.total_queue_delay.as_nanos()),
+                            ),
+                            ("max_queue_delay_ns", UInt(link.max_queue_delay.as_nanos())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 /// A time series as `{interval_ns, samples: [...]}`; samples carry the
 /// timestamp, power, queue depth and residency deltas.
 #[must_use]
 pub fn timeseries_json(ts: &TimeSeries) -> JsonValue {
-    let samples = ts
-        .samples()
-        .iter()
-        .map(|s| {
-            let mut o = JsonValue::object();
-            o.push("at_ns", JsonValue::UInt(s.at.as_nanos()))
-                .push("soc_power_w", JsonValue::Float(s.soc_power_w))
-                .push("queue_depth", JsonValue::UInt(s.queue_depth as u64))
-                .push("busy_cores", JsonValue::UInt(s.busy_cores as u64))
-                .push(
-                    "package_state",
-                    JsonValue::Str(format!("{:?}", s.package_state)),
-                )
-                .push("pc0_delta_ns", JsonValue::UInt(s.pc0_delta.as_nanos()))
-                .push(
-                    "pc0_idle_delta_ns",
-                    JsonValue::UInt(s.pc0_idle_delta.as_nanos()),
-                )
-                .push("pc1a_delta_ns", JsonValue::UInt(s.pc1a_delta.as_nanos()))
-                .push("pc6_delta_ns", JsonValue::UInt(s.pc6_delta.as_nanos()));
-            o
-        })
-        .collect();
-    let mut o = JsonValue::object();
-    o.push("interval_ns", JsonValue::UInt(ts.interval().as_nanos()))
-        .push("samples", JsonValue::Array(samples));
-    o
+    use JsonValue::{Array, Float, Str, UInt};
+    let samples = ts.samples().iter().map(|s| {
+        JsonValue::from([
+            ("at_ns", UInt(s.at.as_nanos())),
+            ("soc_power_w", Float(s.soc_power_w)),
+            ("queue_depth", UInt(s.queue_depth as u64)),
+            ("busy_cores", UInt(s.busy_cores as u64)),
+            ("package_state", Str(format!("{:?}", s.package_state))),
+            ("pc0_delta_ns", UInt(s.pc0_delta.as_nanos())),
+            ("pc0_idle_delta_ns", UInt(s.pc0_idle_delta.as_nanos())),
+            ("pc1a_delta_ns", UInt(s.pc1a_delta.as_nanos())),
+            ("pc6_delta_ns", UInt(s.pc6_delta.as_nanos())),
+        ])
+    });
+    JsonValue::from([
+        ("interval_ns", UInt(ts.interval().as_nanos())),
+        ("samples", Array(samples.collect())),
+    ])
 }
 
 /// Rebuilds a [`TimeSeries`] from the [`timeseries_json`] form — the other
@@ -1048,13 +991,8 @@ pub fn timeseries_json(ts: &TimeSeries) -> JsonValue {
 ///
 /// Returns a description of the first malformed field.
 pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
-    fn duration_field(v: &JsonValue, key: &str) -> Result<SimDuration, String> {
-        v.get(key)
-            .and_then(JsonValue::as_u64)
-            .map(SimDuration::from_nanos)
-            .ok_or_else(|| format!("timeseries: missing or non-integer `{key}`"))
-    }
-    let interval = duration_field(v, "interval_ns")?;
+    let duration = |v: &JsonValue, what, key| v.u64_member(what, key).map(SimDuration::from_nanos);
+    let interval = duration(v, "timeseries", "interval_ns")?;
     if interval.is_zero() {
         return Err("timeseries: `interval_ns` must be non-zero".to_owned());
     }
@@ -1065,8 +1003,7 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
         .ok_or("timeseries: missing or non-array `samples`")?;
     let mut previous_at = None;
     for s in samples {
-        let at = SimTime::ZERO
-            + duration_field(s, "at_ns").map_err(|e| e.replace("timeseries:", "sample:"))?;
+        let at = SimTime::ZERO + duration(s, "sample", "at_ns")?;
         // `TimeSeries::push` only debug-asserts monotonicity; parsing
         // hostile input must not rely on debug assertions.
         if previous_at.is_some_and(|prev| at <= prev) {
@@ -1084,10 +1021,7 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
         };
         ts.push(TimeSeriesSample {
             at,
-            soc_power_w: s
-                .get("soc_power_w")
-                .and_then(JsonValue::as_f64)
-                .ok_or("sample: missing or non-number `soc_power_w`")?,
+            soc_power_w: s.f64_member("sample", "soc_power_w")?,
             queue_depth: s
                 .get("queue_depth")
                 .and_then(JsonValue::as_u64)
@@ -1099,14 +1033,10 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
                 .and_then(|n| usize::try_from(n).ok())
                 .ok_or("sample: missing or non-integer `busy_cores`")?,
             package_state,
-            pc0_delta: duration_field(s, "pc0_delta_ns")
-                .map_err(|e| e.replace("timeseries:", "sample:"))?,
-            pc0_idle_delta: duration_field(s, "pc0_idle_delta_ns")
-                .map_err(|e| e.replace("timeseries:", "sample:"))?,
-            pc1a_delta: duration_field(s, "pc1a_delta_ns")
-                .map_err(|e| e.replace("timeseries:", "sample:"))?,
-            pc6_delta: duration_field(s, "pc6_delta_ns")
-                .map_err(|e| e.replace("timeseries:", "sample:"))?,
+            pc0_delta: duration(s, "sample", "pc0_delta_ns")?,
+            pc0_idle_delta: duration(s, "sample", "pc0_idle_delta_ns")?,
+            pc1a_delta: duration(s, "sample", "pc1a_delta_ns")?,
+            pc6_delta: duration(s, "sample", "pc6_delta_ns")?,
         });
     }
     Ok(ts)
@@ -1116,31 +1046,26 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
 /// and the per-event-kind breakdown.
 #[must_use]
 pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
-    let mut engine = JsonValue::object();
-    engine
-        .push("scheduled", JsonValue::UInt(p.engine.scheduled))
-        .push("dispatched", JsonValue::UInt(p.engine.dispatched))
-        .push("cancelled", JsonValue::UInt(p.engine.cancelled))
-        .push("level0_batches", JsonValue::UInt(p.engine.level0_batches))
-        .push("batched_events", JsonValue::UInt(p.engine.batched_events))
-        .push("max_batch", JsonValue::UInt(p.engine.max_batch))
-        .push("overflow_hits", JsonValue::UInt(p.engine.overflow_hits));
-    let events = p
-        .events
-        .iter()
-        .map(|k| {
-            let mut o = JsonValue::object();
-            o.push("kind", JsonValue::Str(k.kind.to_owned()))
-                .push("scheduled", JsonValue::UInt(k.scheduled))
-                .push("dispatched", JsonValue::UInt(k.dispatched))
-                .push("cancelled", JsonValue::UInt(k.cancelled));
-            o
-        })
-        .collect();
-    let mut o = JsonValue::object();
-    o.push("engine", engine)
-        .push("events", JsonValue::Array(events));
-    o
+    use JsonValue::{Array, Str, UInt};
+    let e = &p.engine;
+    let events = p.events.iter().map(|k| {
+        JsonValue::from([
+            ("kind", Str(k.kind.to_owned())),
+            ("scheduled", UInt(k.scheduled)),
+            ("dispatched", UInt(k.dispatched)),
+            ("cancelled", UInt(k.cancelled)),
+        ])
+    });
+    let engine = JsonValue::from([
+        ("scheduled", UInt(e.scheduled)),
+        ("dispatched", UInt(e.dispatched)),
+        ("cancelled", UInt(e.cancelled)),
+        ("level0_batches", UInt(e.level0_batches)),
+        ("batched_events", UInt(e.batched_events)),
+        ("max_batch", UInt(e.max_batch)),
+        ("overflow_hits", UInt(e.overflow_hits)),
+    ]);
+    JsonValue::from([("engine", engine), ("events", Array(events.collect()))])
 }
 
 /// A span log as Chrome trace-event JSON (the format `chrome://tracing` and
@@ -1156,37 +1081,29 @@ pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
 /// shortest-round-trip, so fixed-seed traces export byte-identically.
 #[must_use]
 pub fn chrome_trace_json(log: &TraceLog) -> JsonValue {
-    let events = log
-        .spans()
-        .iter()
-        .map(|s| {
-            let name = if s.label.is_empty() {
-                s.kind.name()
-            } else {
-                s.label
-            };
-            let mut args = JsonValue::object();
-            args.push("trace", JsonValue::UInt(s.trace));
-            let mut e = JsonValue::object();
-            e.push("name", JsonValue::Str(name.to_owned()))
-                .push("cat", JsonValue::Str(s.kind.name().to_owned()))
-                .push("ph", JsonValue::Str("X".to_owned()))
-                .push("ts", JsonValue::Float(s.start.as_nanos() as f64 / 1000.0))
-                .push(
-                    "dur",
-                    JsonValue::Float(s.duration().as_nanos() as f64 / 1000.0),
-                )
-                .push("pid", JsonValue::UInt(u64::from(s.node)))
-                .push("tid", JsonValue::UInt(u64::from(s.lane)))
-                .push("args", args);
-            e
-        })
-        .collect();
-    let mut o = JsonValue::object();
-    o.push("traceEvents", JsonValue::Array(events))
-        .push("displayTimeUnit", JsonValue::Str("ns".to_owned()))
-        .push("dropped_spans", JsonValue::UInt(log.dropped()));
-    o
+    use JsonValue::{Array, Float, Str, UInt};
+    let events = log.spans().iter().map(|s| {
+        let name = if s.label.is_empty() {
+            s.kind.name()
+        } else {
+            s.label
+        };
+        JsonValue::from([
+            ("name", Str(name.to_owned())),
+            ("cat", Str(s.kind.name().to_owned())),
+            ("ph", Str("X".to_owned())),
+            ("ts", Float(s.start.as_nanos() as f64 / 1000.0)),
+            ("dur", Float(s.duration().as_nanos() as f64 / 1000.0)),
+            ("pid", UInt(u64::from(s.node))),
+            ("tid", UInt(u64::from(s.lane))),
+            ("args", JsonValue::from([("trace", UInt(s.trace))])),
+        ])
+    });
+    JsonValue::from([
+        ("traceEvents", Array(events.collect())),
+        ("displayTimeUnit", Str("ns".to_owned())),
+        ("dropped_spans", UInt(log.dropped())),
+    ])
 }
 
 #[cfg(test)]

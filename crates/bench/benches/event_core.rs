@@ -33,6 +33,7 @@
 
 use std::time::Instant;
 
+use apc_analysis::export::JsonValue;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::cluster::{run_cluster_experiment, ClusterResult};
 use apc_server::config::ServerConfig;
@@ -179,9 +180,15 @@ fn cluster_profile(nodes: usize) -> apc_trace::EngineProfile {
         .engine
 }
 
-fn json_escape_free(name: &str) -> &str {
-    debug_assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-    name
+/// `v` rounded to `decimals` places (the precision a BENCH row records).
+fn fixed(v: f64, decimals: i32) -> JsonValue {
+    let scale = 10f64.powi(decimals);
+    JsonValue::Float((v * scale).round() / scale)
+}
+
+/// `v` rounded to a whole number.
+fn whole(v: f64) -> JsonValue {
+    JsonValue::UInt(v.round() as u64)
 }
 
 fn main() {
@@ -224,18 +231,16 @@ fn main() {
                 heap.ops_per_sec() / 1e6,
                 wheel.ops_per_sec() / heap.ops_per_sec(),
             );
-            micro_json.push(format!(
-                concat!(
-                    "    {{\"pending_events\": {}, \"pattern\": \"{}\", ",
-                    "\"wheel_ops_per_sec\": {:.0}, \"heap_ops_per_sec\": {:.0}, ",
-                    "\"speedup_vs_heap\": {:.3}}}"
-                ),
-                n,
-                json_escape_free(pattern),
-                wheel.ops_per_sec(),
-                heap.ops_per_sec(),
-                wheel.ops_per_sec() / heap.ops_per_sec(),
-            ));
+            let mut row = JsonValue::object();
+            row.push("pending_events", JsonValue::UInt(n))
+                .push("pattern", JsonValue::Str(pattern.to_owned()))
+                .push("wheel_ops_per_sec", whole(wheel.ops_per_sec()))
+                .push("heap_ops_per_sec", whole(heap.ops_per_sec()))
+                .push(
+                    "speedup_vs_heap",
+                    fixed(wheel.ops_per_sec() / heap.ops_per_sec(), 3),
+                );
+            micro_json.push(row);
         }
     }
 
@@ -268,23 +273,17 @@ fn main() {
             engine.max_batch,
             engine.overflow_hits,
         );
-        cluster_json.push(format!(
-            concat!(
-                "    {{\"nodes\": {}, \"ms_per_20ms_sim\": {:.3}, ",
-                "\"events_dispatched\": {}, \"events_per_sec\": {:.0}, ",
-                "\"events_scheduled\": {}, \"events_cancelled\": {}, ",
-                "\"level0_batches\": {}, \"max_batch\": {}, \"overflow_hits\": {}}}"
-            ),
-            nodes,
-            ms_per_20ms,
-            events,
-            events_per_sec,
-            engine.scheduled,
-            engine.cancelled,
-            engine.level0_batches,
-            engine.max_batch,
-            engine.overflow_hits,
-        ));
+        let mut row = JsonValue::object();
+        row.push("nodes", JsonValue::UInt(nodes as u64))
+            .push("ms_per_20ms_sim", fixed(ms_per_20ms, 3))
+            .push("events_dispatched", JsonValue::UInt(events))
+            .push("events_per_sec", whole(events_per_sec))
+            .push("events_scheduled", JsonValue::UInt(engine.scheduled))
+            .push("events_cancelled", JsonValue::UInt(engine.cancelled))
+            .push("level0_batches", JsonValue::UInt(engine.level0_batches))
+            .push("max_batch", JsonValue::UInt(engine.max_batch))
+            .push("overflow_hits", JsonValue::UInt(engine.overflow_hits));
+        cluster_json.push(row);
     }
 
     if smoke {
@@ -292,27 +291,25 @@ fn main() {
         return;
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"event_core\",\n",
-            "  \"methodology\": \"min over repeats on a shared container; ",
-            "micro: {} repeats, cluster: {} repeats; ",
-            "identical xoshiro-seeded operation sequences for both queue ",
-            "implementations; wheel-batch/overflow counters from one untimed ",
-            "self-profiled run per row\",\n",
-            "  \"baseline_8_nodes_ms_per_20ms_sim\": {{\"recorded_pre_wheel\": 14.9, ",
-            "\"this_container_pre_wheel\": 16.06}},\n",
-            "  \"event_queue_micro\": [\n{}\n  ],\n",
-            "  \"cluster_scale\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        repeats,
-        cluster_repeats,
-        micro_json.join(",\n"),
-        cluster_json.join(",\n"),
-    );
+    let mut baseline = JsonValue::object();
+    baseline
+        .push("recorded_pre_wheel", JsonValue::Float(14.9))
+        .push("this_container_pre_wheel", JsonValue::Float(16.06));
+    let mut json = JsonValue::object();
+    json.push("bench", JsonValue::Str("event_core".to_owned()))
+        .push(
+            "methodology",
+            JsonValue::Str(format!(
+                "min over repeats on a shared container; micro: {repeats} repeats, \
+                 cluster: {cluster_repeats} repeats; identical xoshiro-seeded operation \
+                 sequences for both queue implementations; wheel-batch/overflow counters \
+                 from one untimed self-profiled run per row"
+            )),
+        )
+        .push("baseline_8_nodes_ms_per_20ms_sim", baseline)
+        .push("event_queue_micro", JsonValue::Array(micro_json))
+        .push("cluster_scale", JsonValue::Array(cluster_json));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_event_core.json");
-    std::fs::write(path, &json).expect("write BENCH_event_core.json");
+    std::fs::write(path, json.to_pretty_string()).expect("write BENCH_event_core.json");
     println!("wrote {path}");
 }

@@ -29,6 +29,7 @@
 
 use std::time::Instant;
 
+use apc_analysis::export::JsonValue;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::cluster::{run_cluster_experiment, ClusterResult};
 use apc_server::config::ServerConfig;
@@ -131,6 +132,17 @@ fn cluster_run() -> (f64, ClusterResult) {
     (start.elapsed().as_secs_f64(), result)
 }
 
+/// `v` rounded to `decimals` places (the precision a BENCH row records).
+fn fixed(v: f64, decimals: i32) -> JsonValue {
+    let scale = 10f64.powi(decimals);
+    JsonValue::Float((v * scale).round() / scale)
+}
+
+/// `v` rounded to a whole number.
+fn whole(v: f64) -> JsonValue {
+    JsonValue::UInt(v.round() as u64)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -164,24 +176,28 @@ fn main() {
             retained.payload_bytes,
             retained.payload_bytes as f64 / sketch.payload_bytes as f64,
         );
-        micro_json.push(format!(
-            concat!(
-                "    {{\"samples\": {}, ",
-                "\"sketch_record_ns\": {:.2}, \"sketch_summary_ns\": {:.0}, ",
-                "\"sketch_payload_bytes\": {}, ",
-                "\"retained_record_ns\": {:.2}, \"retained_summary_ns\": {:.0}, ",
-                "\"retained_payload_bytes\": {}, ",
-                "\"memory_ratio\": {:.1}}}"
-            ),
-            n,
-            sketch.record_ns,
-            sketch.summary_ns,
-            sketch.payload_bytes,
-            retained.record_ns,
-            retained.summary_ns,
-            retained.payload_bytes,
-            retained.payload_bytes as f64 / sketch.payload_bytes as f64,
-        ));
+        let mut row = JsonValue::object();
+        row.push("samples", JsonValue::UInt(n as u64))
+            .push("sketch_record_ns", fixed(sketch.record_ns, 2))
+            .push("sketch_summary_ns", whole(sketch.summary_ns))
+            .push(
+                "sketch_payload_bytes",
+                JsonValue::UInt(sketch.payload_bytes as u64),
+            )
+            .push("retained_record_ns", fixed(retained.record_ns, 2))
+            .push("retained_summary_ns", whole(retained.summary_ns))
+            .push(
+                "retained_payload_bytes",
+                JsonValue::UInt(retained.payload_bytes as u64),
+            )
+            .push(
+                "memory_ratio",
+                fixed(
+                    retained.payload_bytes as f64 / sketch.payload_bytes as f64,
+                    1,
+                ),
+            );
+        micro_json.push(row);
     }
 
     println!(
@@ -202,41 +218,33 @@ fn main() {
         "  {CLUSTER_NODES} nodes: {ms_per_20ms:>7.3} ms per 20 ms sim   \
          {completed} completed   p99 {p99}"
     );
-    let cluster_json = format!(
-        concat!(
-            "    {{\"nodes\": {}, \"ms_per_20ms_sim\": {:.3}, ",
-            "\"completed_requests\": {}, \"p99_ns\": {}}}"
-        ),
-        CLUSTER_NODES,
-        ms_per_20ms,
-        completed,
-        p99.as_nanos(),
-    );
+    let mut cluster_row = JsonValue::object();
+    cluster_row
+        .push("nodes", JsonValue::UInt(CLUSTER_NODES as u64))
+        .push("ms_per_20ms_sim", fixed(ms_per_20ms, 3))
+        .push("completed_requests", JsonValue::UInt(completed))
+        .push("p99_ns", JsonValue::UInt(p99.as_nanos()));
 
     if smoke {
         println!("smoke mode: skipping BENCH_result_path.json");
         return;
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"result_path\",\n",
-            "  \"methodology\": \"min over repeats on a shared container; ",
-            "micro: {} repeats over identical xoshiro-seeded lognormal samples ",
-            "for both recorders; retained baseline is Vec<u64> push + ",
-            "sort-at-summary, the pre-sketch recorder shape; cluster row is ",
-            "the tier-1 cluster_scale configuration, every completed request ",
-            "crossing the sketch record path\",\n",
-            "  \"recorder_micro\": [\n{}\n  ],\n",
-            "  \"cluster_record_path\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        repeats,
-        micro_json.join(",\n"),
-        cluster_json,
-    );
+    let mut json = JsonValue::object();
+    json.push("bench", JsonValue::Str("result_path".to_owned()))
+        .push(
+            "methodology",
+            JsonValue::Str(format!(
+                "min over repeats on a shared container; micro: {repeats} repeats over \
+                 identical xoshiro-seeded lognormal samples for both recorders; retained \
+                 baseline is Vec<u64> push + sort-at-summary, the pre-sketch recorder \
+                 shape; cluster row is the tier-1 cluster_scale configuration, every \
+                 completed request crossing the sketch record path"
+            )),
+        )
+        .push("recorder_micro", JsonValue::Array(micro_json))
+        .push("cluster_record_path", JsonValue::Array(vec![cluster_row]));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_result_path.json");
-    std::fs::write(path, &json).expect("write BENCH_result_path.json");
+    std::fs::write(path, json.to_pretty_string()).expect("write BENCH_result_path.json");
     println!("wrote {path}");
 }

@@ -19,12 +19,15 @@
 //! all hard errors — a corrupted shard must fail loudly at merge, not bend
 //! the final artefact.
 
+use std::collections::BTreeMap;
+
 use apc_analysis::export::{
     run_result_from_json, run_result_json, sketch_from_json, sketch_json, JsonValue,
 };
 use apc_server::fleet::FleetResult;
 use apc_server::result::RunResult;
 use apc_sim::{SimDuration, SimTime};
+use apc_telemetry::sketch::QuantileSketch;
 
 /// The checkpoint format version this build writes and accepts.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -63,32 +66,29 @@ impl Checkpoint {
     /// Serialises the checkpoint (pretty-print the result to write it).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut o = JsonValue::object();
-                o.push("index", JsonValue::UInt(p.index as u64))
-                    .push("label", JsonValue::Str(p.label.clone()))
-                    .push(
-                        "finished_at_ns",
-                        JsonValue::UInt((p.run.finished_at - SimTime::ZERO).as_nanos()),
-                    )
-                    .push("sketch", sketch_json(&p.run.latency_sketch))
-                    .push("run", run_result_json(&p.run));
-                o
-            })
-            .collect();
-        let mut o = JsonValue::object();
-        o.push("apc_sweep_checkpoint", JsonValue::UInt(CHECKPOINT_VERSION))
-            .push("spec_name", JsonValue::Str(self.spec_name.clone()))
-            .push("shard", JsonValue::UInt(self.shard as u64))
-            .push("of", JsonValue::UInt(self.of as u64))
-            .push("total_points", JsonValue::UInt(self.total_points as u64))
-            .push("seed", JsonValue::UInt(self.seed))
-            .push("duration_ns", JsonValue::UInt(self.duration.as_nanos()))
-            .push("points", JsonValue::Array(points));
-        o
+        use JsonValue::{Array, Str, UInt};
+        let points = self.points.iter().map(|p| {
+            JsonValue::from([
+                ("index", UInt(p.index as u64)),
+                ("label", Str(p.label.clone())),
+                (
+                    "finished_at_ns",
+                    UInt((p.run.finished_at - SimTime::ZERO).as_nanos()),
+                ),
+                ("sketch", sketch_json(&p.run.latency_sketch)),
+                ("run", run_result_json(&p.run)),
+            ])
+        });
+        JsonValue::from([
+            ("apc_sweep_checkpoint", UInt(CHECKPOINT_VERSION)),
+            ("spec_name", Str(self.spec_name.clone())),
+            ("shard", UInt(self.shard as u64)),
+            ("of", UInt(self.of as u64)),
+            ("total_points", UInt(self.total_points as u64)),
+            ("seed", UInt(self.seed)),
+            ("duration_ns", UInt(self.duration.as_nanos())),
+            ("points", Array(points.collect())),
+        ])
     }
 
     /// Parses and validates a checkpoint document.
@@ -124,15 +124,8 @@ impl Checkpoint {
         if of == 0 || shard >= of {
             return Err(format!("checkpoint: shard {shard}/{of} is out of range"));
         }
-        let seed = v
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("checkpoint: missing or non-integer `seed`")?;
-        let duration = SimDuration::from_nanos(
-            v.get("duration_ns")
-                .and_then(JsonValue::as_u64)
-                .ok_or("checkpoint: missing or non-integer `duration_ns`")?,
-        );
+        let seed = v.u64_member("checkpoint", "seed")?;
+        let duration = SimDuration::from_nanos(v.u64_member("checkpoint", "duration_ns")?);
         let mut points = Vec::new();
         for p in v
             .get("points")
@@ -155,20 +148,24 @@ impl Checkpoint {
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("point {index}: missing or non-string `label`"))?
                 .to_owned();
-            let finished_at = SimTime::ZERO
-                + SimDuration::from_nanos(
-                    p.get("finished_at_ns")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| {
-                            format!("point {index}: missing or non-integer `finished_at_ns`")
-                        })?,
-                );
+            let finished_at_ns = p.u64_member(&format!("point {index}"), "finished_at_ns")?;
+            let finished_at = SimTime::ZERO + SimDuration::from_nanos(finished_at_ns);
             let sketch = p
                 .get("sketch")
                 .map(sketch_from_json)
                 .transpose()
                 .map_err(|e| format!("point {index}: {e}"))?
                 .ok_or_else(|| format!("point {index}: missing `sketch`"))?;
+            // Every run records into the latency default, and only sketches
+            // of equal parameters merge.
+            let params = |s: &QuantileSketch| (s.relative_error(), s.max_buckets());
+            if params(&sketch) != params(&QuantileSketch::latency_default()) {
+                let (alpha, buckets) = params(&sketch);
+                return Err(format!(
+                    "point {index}: sketch parameters (relative error {alpha}, {buckets} buckets) \
+                     differ from the latency default"
+                ));
+            }
             let run = p
                 .get("run")
                 .map(|run| run_result_from_json(run, sketch, finished_at))
@@ -214,8 +211,9 @@ pub fn merge_checkpoints(
         ));
     }
     let mut seen_shards = vec![false; of];
-    let mut slots: Vec<Option<CheckpointPoint>> = Vec::new();
-    slots.resize_with(total_points, || None);
+    // Keyed by grid index, so memory follows the points the shards carry,
+    // never the `total_points` they claim.
+    let mut points = BTreeMap::new();
     for ck in shards {
         if ck.spec_name != spec_name {
             return Err(format!(
@@ -240,19 +238,20 @@ pub fn merge_checkpoints(
         }
         seen_shards[ck.shard] = true;
         for point in ck.points {
-            let slot = &mut slots[point.index];
-            if slot.is_some() {
-                return Err(format!("grid point {} given more than once", point.index));
+            let index = point.index;
+            if points.insert(index, point).is_some() {
+                return Err(format!("grid point {index} given more than once"));
             }
-            *slot = Some(point);
         }
     }
-    let mut labels = Vec::with_capacity(total_points);
-    let mut runs = Vec::with_capacity(total_points);
-    for (index, slot) in slots.into_iter().enumerate() {
-        let point = slot.ok_or_else(|| format!("grid point {index} is missing"))?;
-        labels.push(point.label);
-        runs.push(point.run);
+    // Indices are unique and below `total_points` (checked on load), so
+    // the first gap lies within the points carried.
+    if let Some(missing) = (0..total_points).find(|i| !points.contains_key(i)) {
+        return Err(format!("grid point {missing} is missing"));
     }
+    let (labels, runs) = points
+        .into_values()
+        .map(|point| (point.label, point.run))
+        .unzip();
     Ok((spec_name, labels, FleetResult { runs }))
 }

@@ -44,7 +44,7 @@ use apc_server::scenario::{ChainScenario, ClusterScenario, Scenario};
 use apc_sim::SimDuration;
 
 use crate::checkpoint::{merge_checkpoints, Checkpoint, CheckpointPoint};
-use crate::runner::{execute_spec, plan_spec, sweep_grid, Outcome, OutputFormat};
+use crate::runner::{plan_spec, sweep_grid, Outcome, OutputFormat};
 use crate::spec::{parse_policy, ExperimentSpec, PlatformKind, SpecKind};
 
 /// A CLI failure: what went wrong and which exit code it maps to.
@@ -379,8 +379,6 @@ fn run_scenario(inv: &Invocation, scenario: &Scenario) -> Result<Outcome, CliErr
             scenario.name
         )));
     }
-    check_timeseries_flag(inv, false)?;
-    check_observability_flags(inv, false, false)?;
     let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
     let scenario = override_scenario(
         inv,
@@ -405,8 +403,6 @@ fn run_scenario(inv: &Invocation, scenario: &Scenario) -> Result<Outcome, CliErr
 /// (default CPC1A), policy (default power-aware), duration and seed
 /// overrides.
 fn run_cluster_scenario(inv: &Invocation, scenario: &ClusterScenario) -> Result<Outcome, CliError> {
-    check_timeseries_flag(inv, false)?;
-    check_observability_flags(inv, false, false)?;
     let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
     let policy = inv.policy()?.unwrap_or(RoutingPolicyKind::PowerAware);
     let scenario = override_scenario(
@@ -424,8 +420,6 @@ fn run_cluster_scenario(inv: &Invocation, scenario: &ClusterScenario) -> Result<
 /// Runs a named chain scenario once (see [`run_cluster_scenario`]; the
 /// default policy is join-shortest-queue).
 fn run_chain_scenario(inv: &Invocation, scenario: &ChainScenario) -> Result<Outcome, CliError> {
-    check_timeseries_flag(inv, false)?;
-    check_observability_flags(inv, false, false)?;
     let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
     let policy = inv
         .policy()?
@@ -443,14 +437,18 @@ fn run_chain_scenario(inv: &Invocation, scenario: &ChainScenario) -> Result<Outc
 }
 
 /// Applies `--duration-ms` / `--seed` to a named scenario and validates
-/// `--parallelism` (a single cluster or chain is one event loop, so only
-/// fleet scenarios have members to spread over it).
+/// the rest of the flag set: named scenarios record no time series, spans
+/// or profile and render whole, and `--parallelism` must parse (a single
+/// cluster or chain is one event loop, so only fleet scenarios have members
+/// to spread over it).
 fn override_scenario<S>(
     inv: &Invocation,
     mut scenario: S,
     with_duration: fn(S, SimDuration) -> S,
     with_seed: fn(S, u64) -> S,
 ) -> Result<S, CliError> {
+    check_timeseries_flag(inv, false)?;
+    check_observability_flags(inv, false, false)?;
     if let Some(d) = inv.duration()? {
         scenario = with_duration(scenario, d);
     }
@@ -590,14 +588,15 @@ fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
             table.render()
         }
         OutputFormat::Json => {
+            use JsonValue::{Str, UInt};
             let items = rows.map(|(name, kind, servers, workloads, description)| {
-                let mut o = JsonValue::object();
-                o.push("name", JsonValue::Str(name.to_owned()))
-                    .push("kind", JsonValue::Str(kind.to_owned()))
-                    .push("servers", JsonValue::UInt(servers as u64))
-                    .push("workloads", JsonValue::Str(workloads))
-                    .push("description", JsonValue::Str(description.to_owned()));
-                o
+                JsonValue::from([
+                    ("name", Str(name.to_owned())),
+                    ("kind", Str(kind.to_owned())),
+                    ("servers", UInt(servers as u64)),
+                    ("workloads", Str(workloads)),
+                    ("description", Str(description.to_owned())),
+                ])
             });
             JsonValue::Array(items.collect()).to_pretty_string()
         }
@@ -670,7 +669,7 @@ fn run_spec(inv: &Invocation, spec: &ExperimentSpec) -> Result<String, CliError>
     if let Some((path, format)) = stream_request(inv)? {
         return finish_streamed(inv, &spec, path, format);
     }
-    finish(inv, &execute_spec(&spec, inv.parallelism()?))
+    finish(inv, &plan_spec(&spec, inv.parallelism()?).run())
 }
 
 /// Parses a `--shard i/n` spelling.
@@ -741,10 +740,7 @@ fn cmd_sweep_shard(
         duration: spec.duration,
         points,
     };
-    let text = ck.to_json().to_pretty_string();
-    std::fs::write(out_path, &text)
-        .map_err(|e| CliError::Io(format!("cannot write `{out_path}`: {e}")))?;
-    Ok(format!("wrote {out_path} ({} bytes)\n", text.len()))
+    write_output(out_path, &ck.to_json().to_pretty_string())
 }
 
 /// The `merge` command: parses one checkpoint per shard and renders the
@@ -831,29 +827,31 @@ fn override_spec(spec: &ExperimentSpec, inv: &Invocation) -> Result<ExperimentSp
 /// what to print on stdout.
 fn finish(inv: &Invocation, outcome: &Outcome) -> Result<String, CliError> {
     let rendered = outcome.render(inv.format()?);
-    let mut stdout = String::new();
-    match inv.flag("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered)
-                .map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
-            stdout.push_str(&format!("wrote {path} ({} bytes)\n", rendered.len()));
-        }
-        None => stdout.push_str(&rendered),
-    }
+    let mut stdout = match inv.flag("out") {
+        Some(path) => write_output(path, &rendered)?,
+        None => rendered,
+    };
     if let Some(path) = inv.flag("timeseries-out") {
-        let csv = outcome.timeseries_csv().ok_or_else(|| {
-            CliError::Usage(
-                "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
-                 (no run recorded a time series)"
-                    .to_owned(),
-            )
-        })?;
-        std::fs::write(path, &csv)
-            .map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
-        stdout.push_str(&format!("wrote {path} ({} bytes)\n", csv.len()));
+        let csv = outcome.timeseries_csv().ok_or_else(no_series)?;
+        stdout.push_str(&write_output(path, &csv)?);
     }
     write_trace_out(inv, outcome, &mut stdout)?;
     Ok(stdout)
+}
+
+/// The error of a `--timeseries-out` no run could serve.
+fn no_series() -> CliError {
+    CliError::Usage(
+        "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
+         (no run recorded a time series)"
+            .to_owned(),
+    )
+}
+
+/// Writes `text` to `path` and returns the `wrote …` stdout line.
+fn write_output(path: &str, text: &str) -> Result<String, CliError> {
+    std::fs::write(path, text).map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
+    Ok(format!("wrote {path} ({} bytes)\n", text.len()))
 }
 
 /// Honours `--trace-out`, appending its `wrote …` line to `stdout`.
@@ -872,8 +870,9 @@ fn write_trace_out(
                 .to_owned(),
         )
     })?;
-    let json = chrome_trace_json(&log).to_pretty_string();
-    std::fs::write(path, &json).map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
-    stdout.push_str(&format!("wrote {path} ({} bytes)\n", json.len()));
+    stdout.push_str(&write_output(
+        path,
+        &chrome_trace_json(&log).to_pretty_string(),
+    )?);
     Ok(())
 }

@@ -325,13 +325,6 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
     }
 }
 
-/// Executes a parsed spec end-to-end (see [`plan_spec`] for the
-/// `parallelism` contract).
-#[must_use]
-pub fn execute_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Outcome {
-    plan_spec(spec, parallelism).run()
-}
-
 /// A run pool over `members`, pinned to `parallelism` workers when given.
 fn pool<M: Member>(members: impl IntoIterator<Item = M>, parallelism: Option<usize>) -> Pool<M> {
     let mut pool = Pool::new();

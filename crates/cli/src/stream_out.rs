@@ -11,13 +11,13 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 
-use apc_analysis::artefact::{ArtefactWriter, Format, Item, Layout, SeriesWriter};
+use apc_analysis::artefact::{ArtefactWriter, Format, Item, SeriesWriter};
 use apc_server::chain::ChainResult;
 use apc_server::cluster::ClusterResult;
 use apc_server::result::RunResult;
 
 use crate::runner::{ExecutionPlan, Outcome, StreamSink};
-use crate::CliError;
+use crate::{no_series, CliError};
 
 /// Hands each finished result to the artefact writer and, with
 /// `--timeseries-out`, to the time-series writer.
@@ -38,15 +38,15 @@ impl<W: Write> ArtefactSink<W> {
 
 impl<W: Write> StreamSink<io::Error> for ArtefactSink<W> {
     fn on_run(&mut self, _index: usize, label: &str, run: &RunResult) -> io::Result<()> {
-        self.push(Item::Run { label, run })
+        self.push(Item::Run(label, run))
     }
 
     fn on_cluster(&mut self, repeat: usize, result: &ClusterResult) -> io::Result<()> {
-        self.push(Item::Cluster { repeat, result })
+        self.push(Item::Cluster(repeat, result))
     }
 
     fn on_chain(&mut self, repeat: usize, result: &ChainResult) -> io::Result<()> {
-        self.push(Item::Chain { repeat, result })
+        self.push(Item::Chain(repeat, result))
     }
 }
 
@@ -91,8 +91,9 @@ impl Write for FileOut {
 /// time series to `ts_path` when given). Returns the completed outcome
 /// (for `--trace-out`) and the `wrote …` stdout lines.
 ///
-/// The caller has already validated the flag set; `repeats` and
-/// `with_network` describe the spec (see [`Layout`]).
+/// The caller has already validated the flag set; `repeats` (which labels
+/// node series) and `with_network` (which adds the fabric CSV columns)
+/// describe the spec.
 ///
 /// # Errors
 ///
@@ -105,29 +106,19 @@ pub(crate) fn execute_plan_streamed(
     repeats: usize,
     with_network: bool,
 ) -> Result<(Outcome, String), CliError> {
-    let layout = Layout {
-        shape: plan.shape(),
-        repeats,
-        with_network,
-    };
+    let shape = plan.shape();
     let io_err = |e: io::Error| CliError::Io(e.to_string());
     let out = FileOut::create(path)?;
     let series = ts_path.map(FileOut::create).transpose()?;
     let mut sink = ArtefactSink {
-        artefact: ArtefactWriter::new(out, format, layout).map_err(io_err)?,
+        artefact: ArtefactWriter::new(out, format, shape, with_network).map_err(io_err)?,
         series: series.map(|out| SeriesWriter::new(out, repeats)),
     };
     let outcome = plan.run_streamed(&mut sink).map_err(io_err)?;
     let out = sink.artefact.finish(&outcome.results()).map_err(io_err)?;
     let mut stdout = format!("wrote {path} ({} bytes)\n", out.bytes);
     if let (Some(ts_path), Some(series)) = (ts_path, sink.series) {
-        let Some(series) = series.finish().map_err(io_err)? else {
-            return Err(CliError::Usage(
-                "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
-                 (no run recorded a time series)"
-                    .to_owned(),
-            ));
-        };
+        let series = series.finish().map_err(io_err)?.ok_or_else(no_series)?;
         stdout.push_str(&format!("wrote {ts_path} ({} bytes)\n", series.bytes));
     }
     Ok((outcome, stdout))

@@ -485,7 +485,74 @@ fn merge_rejects_inconsistent_or_tampered_checkpoints() {
         "{err:?}"
     );
 
+    // Hostile values that pass the parser: each must be an input error
+    // naming the problem, never a panic or an abort.
+    let huge_total = JsonValue::UInt(4_611_686_018_427_387_904);
+    let wide = |low: i64, high: i64| {
+        let bucket = |i| JsonValue::Array(vec![JsonValue::Int(i), JsonValue::UInt(1)]);
+        JsonValue::Array(vec![bucket(low), bucket(high)])
+    };
+    for (key, value, message) in [
+        (
+            "max_buckets",
+            JsonValue::UInt(4096),
+            "point 0: sketch parameters (relative error 0.01, 4096 buckets) differ",
+        ),
+        (
+            "buckets",
+            wide(0, 1_500_000_000),
+            "wider than its bound 2048",
+        ),
+        (
+            "buckets",
+            wide(i64::from(i32::MIN), i64::from(i32::MAX)),
+            "wider than its bound 2048",
+        ),
+        (
+            "total_points",
+            huge_total.clone(),
+            "grid point 4 is missing",
+        ),
+    ] {
+        let mut edited = [&shard0, &shard1].map(|s| JsonValue::parse(&s.read()).unwrap());
+        replace_first(&mut edited[0], key, &value);
+        if key == "total_points" {
+            replace_first(&mut edited[1], key, &huge_total);
+        }
+        let files = edited.map(|ck| {
+            let file = Scratch::new(&format!(
+                "merge-hostile-{key}-{}.json",
+                ck.get("shard").unwrap().as_u64().unwrap()
+            ));
+            file.write(&ck.to_pretty_string());
+            file
+        });
+        let err = execute(&args(&["merge", files[0].path(), files[1].path()])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Input(m) if m.contains(message)),
+            "{key}: {err:?}"
+        );
+        assert_eq!(err.exit_code(), 1);
+    }
+
     // A missing file is an I/O error.
     let err = execute(&args(&["merge", "/no/such/checkpoint.json"])).unwrap_err();
     assert!(matches!(err, CliError::Io(_)), "{err:?}");
+}
+
+/// Replaces the value of the first member named `key` (depth first) with
+/// `with`; returns whether one was found.
+fn replace_first(value: &mut JsonValue, key: &str, with: &JsonValue) -> bool {
+    match value {
+        JsonValue::Object(entries) => entries.iter_mut().any(|(k, child)| {
+            if k == key {
+                *child = with.clone();
+                true
+            } else {
+                replace_first(child, key, with)
+            }
+        }),
+        JsonValue::Array(items) => items.iter_mut().any(|item| replace_first(item, key, with)),
+        _ => false,
+    }
 }

@@ -411,7 +411,8 @@ impl QuantileSketch {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency found (parameters
-    /// out of range, buckets out of order, more buckets than the bound).
+    /// out of range, buckets out of order, more buckets or a wider index
+    /// span than the bound, counts overflowing `u64`).
     pub fn from_parts(parts: &SketchParts) -> Result<QuantileSketch, String> {
         if !(parts.relative_error > 0.0 && parts.relative_error < 1.0) {
             return Err(format!(
@@ -442,6 +443,17 @@ impl QuantileSketch {
                 ));
             }
         }
+        // Buckets are stored densely over their index span, which recording
+        // keeps within the bound; a wider span would allocate unboundedly.
+        if let (Some(&(low, _)), Some(&(high, _))) = (parts.buckets.first(), parts.buckets.last()) {
+            let span = i64::from(high) - i64::from(low) + 1;
+            if span > i64::try_from(parts.max_buckets).unwrap_or(i64::MAX) {
+                return Err(format!(
+                    "sketch buckets span indices {low}..={high}, wider than its bound {}",
+                    parts.max_buckets
+                ));
+            }
+        }
         for &(index, count) in &parts.buckets {
             if count == 0 {
                 return Err(format!("sketch bucket {index} has zero count"));
@@ -454,11 +466,16 @@ impl QuantileSketch {
                 }
             }
             sketch.bump(index, count);
-            bucket_count += count;
+            bucket_count = bucket_count
+                .checked_add(count)
+                .ok_or("sketch bucket counts overflow a 64-bit total")?;
         }
         sketch.floor_index = parts.floor_index;
         sketch.zero_count = parts.zero_count;
-        sketch.count = parts.zero_count + bucket_count;
+        sketch.count = parts
+            .zero_count
+            .checked_add(bucket_count)
+            .ok_or("sketch counts overflow a 64-bit total")?;
         sketch.sum = parts.sum;
         if sketch.count > 0 {
             if parts.min > parts.max {
@@ -712,5 +729,42 @@ mod tests {
         assert!(QuantileSketch::from_parts(&below_floor)
             .unwrap_err()
             .contains("collapse floor"));
+    }
+
+    #[test]
+    fn from_parts_rejects_index_spans_wider_than_the_bound() {
+        let parts = |buckets: Vec<(i32, u64)>| SketchParts {
+            buckets,
+            ..QuantileSketch::latency_default().parts()
+        };
+        // Each of these would allocate a dense bucket vector over the span
+        // (gigabytes) or overflow the `i32` index arithmetic.
+        for (low, high) in [(0, 1_500_000_000), (i32::MIN, i32::MAX), (-1, 2047)] {
+            let err = QuantileSketch::from_parts(&parts(vec![(low, 1), (high, 1)])).unwrap_err();
+            assert!(err.contains("wider than its bound 2048"), "{err}");
+        }
+        // A span of exactly the bound is what a full sketch holds.
+        let full = QuantileSketch::from_parts(&parts(vec![(-1, 1), (2046, 1)])).expect("fits");
+        assert_eq!(full.entries().collect::<Vec<_>>(), [(-1, 1), (2046, 1)]);
+    }
+
+    #[test]
+    fn from_parts_rejects_counts_that_overflow() {
+        let base = QuantileSketch::latency_default().parts();
+        let buckets = SketchParts {
+            buckets: vec![(10, u64::MAX), (11, 1)],
+            ..base.clone()
+        };
+        assert!(QuantileSketch::from_parts(&buckets)
+            .unwrap_err()
+            .contains("overflow"));
+        let zeros = SketchParts {
+            zero_count: u64::MAX,
+            buckets: vec![(10, 1)],
+            ..base
+        };
+        assert!(QuantileSketch::from_parts(&zeros)
+            .unwrap_err()
+            .contains("overflow"));
     }
 }
