@@ -14,7 +14,7 @@
 //! [`SeriesWriter`] concatenates the recorded time series under one
 //! header. A buffered artefact ([`render`], [`render_series`]) is the same
 //! writers aimed at a `Vec<u8>`, so streamed and buffered artefacts are the
-//! same bytes by construction. JSON goes through [`JsonWriter`], the
+//! same bytes by construction. JSON goes through `JsonWriter`, the
 //! printer behind [`JsonValue`] serialisation, and each run's JSON tree is
 //! freed as soon as it is written. Every write method propagates the
 //! underlying writer's errors.

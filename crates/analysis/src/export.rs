@@ -1,5 +1,5 @@
 //! The JSON layer of the experiment runner's output: a hand-rolled JSON
-//! value, its one printer ([`JsonWriter`]) and parser, and the JSON form of
+//! value, its one printer (`JsonWriter`) and parser, and the JSON form of
 //! every per-run record — runs, latency summaries, sketches, time series,
 //! fabric stats, profiles and Chrome traces. The result artefacts built
 //! from these records (fleet objects, cluster/chain arrays, CSV) are laid
@@ -205,7 +205,7 @@ impl<const N: usize> From<[(&str, JsonValue); N]> for JsonValue {
 /// containers print as `[]` / `{}`. Every method propagates the underlying
 /// writer's errors.
 #[derive(Debug)]
-pub struct JsonWriter<W> {
+pub(crate) struct JsonWriter<W> {
     out: W,
     pretty: bool,
     /// Closing bracket and member count of every open container, innermost

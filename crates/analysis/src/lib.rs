@@ -7,7 +7,7 @@
 //! * [`report`] — fixed-width table rendering shared by the experiment
 //!   harnesses;
 //! * [`export`] — the hand-rolled JSON value, its one printer
-//!   ([`export::JsonWriter`]) and parser, and the JSON form of every
+//!   (`export::JsonWriter`) and parser, and the JSON form of every
 //!   per-run record (runs, sketches, time series, fabric stats, profiles,
 //!   Chrome traces);
 //! * [`artefact`] — the one writer of every JSON/CSV result artefact and of

@@ -231,16 +231,16 @@ fn main() {
                 heap.ops_per_sec() / 1e6,
                 wheel.ops_per_sec() / heap.ops_per_sec(),
             );
-            let mut row = JsonValue::object();
-            row.push("pending_events", JsonValue::UInt(n))
-                .push("pattern", JsonValue::Str(pattern.to_owned()))
-                .push("wheel_ops_per_sec", whole(wheel.ops_per_sec()))
-                .push("heap_ops_per_sec", whole(heap.ops_per_sec()))
-                .push(
+            micro_json.push(JsonValue::from([
+                ("pending_events", JsonValue::UInt(n)),
+                ("pattern", JsonValue::Str(pattern.to_owned())),
+                ("wheel_ops_per_sec", whole(wheel.ops_per_sec())),
+                ("heap_ops_per_sec", whole(heap.ops_per_sec())),
+                (
                     "speedup_vs_heap",
                     fixed(wheel.ops_per_sec() / heap.ops_per_sec(), 3),
-                );
-            micro_json.push(row);
+                ),
+            ]));
         }
     }
 
@@ -273,17 +273,17 @@ fn main() {
             engine.max_batch,
             engine.overflow_hits,
         );
-        let mut row = JsonValue::object();
-        row.push("nodes", JsonValue::UInt(nodes as u64))
-            .push("ms_per_20ms_sim", fixed(ms_per_20ms, 3))
-            .push("events_dispatched", JsonValue::UInt(events))
-            .push("events_per_sec", whole(events_per_sec))
-            .push("events_scheduled", JsonValue::UInt(engine.scheduled))
-            .push("events_cancelled", JsonValue::UInt(engine.cancelled))
-            .push("level0_batches", JsonValue::UInt(engine.level0_batches))
-            .push("max_batch", JsonValue::UInt(engine.max_batch))
-            .push("overflow_hits", JsonValue::UInt(engine.overflow_hits));
-        cluster_json.push(row);
+        cluster_json.push(JsonValue::from([
+            ("nodes", JsonValue::UInt(nodes as u64)),
+            ("ms_per_20ms_sim", fixed(ms_per_20ms, 3)),
+            ("events_dispatched", JsonValue::UInt(events)),
+            ("events_per_sec", whole(events_per_sec)),
+            ("events_scheduled", JsonValue::UInt(engine.scheduled)),
+            ("events_cancelled", JsonValue::UInt(engine.cancelled)),
+            ("level0_batches", JsonValue::UInt(engine.level0_batches)),
+            ("max_batch", JsonValue::UInt(engine.max_batch)),
+            ("overflow_hits", JsonValue::UInt(engine.overflow_hits)),
+        ]));
     }
 
     if smoke {
@@ -291,24 +291,23 @@ fn main() {
         return;
     }
 
-    let mut baseline = JsonValue::object();
-    baseline
-        .push("recorded_pre_wheel", JsonValue::Float(14.9))
-        .push("this_container_pre_wheel", JsonValue::Float(16.06));
-    let mut json = JsonValue::object();
-    json.push("bench", JsonValue::Str("event_core".to_owned()))
-        .push(
-            "methodology",
-            JsonValue::Str(format!(
-                "min over repeats on a shared container; micro: {repeats} repeats, \
-                 cluster: {cluster_repeats} repeats; identical xoshiro-seeded operation \
-                 sequences for both queue implementations; wheel-batch/overflow counters \
-                 from one untimed self-profiled run per row"
-            )),
-        )
-        .push("baseline_8_nodes_ms_per_20ms_sim", baseline)
-        .push("event_queue_micro", JsonValue::Array(micro_json))
-        .push("cluster_scale", JsonValue::Array(cluster_json));
+    let baseline = JsonValue::from([
+        ("recorded_pre_wheel", JsonValue::Float(14.9)),
+        ("this_container_pre_wheel", JsonValue::Float(16.06)),
+    ]);
+    let methodology = format!(
+        "min over repeats on a shared container; micro: {repeats} repeats, \
+         cluster: {cluster_repeats} repeats; identical xoshiro-seeded operation \
+         sequences for both queue implementations; wheel-batch/overflow counters \
+         from one untimed self-profiled run per row"
+    );
+    let json = JsonValue::from([
+        ("bench", JsonValue::Str("event_core".to_owned())),
+        ("methodology", JsonValue::Str(methodology)),
+        ("baseline_8_nodes_ms_per_20ms_sim", baseline),
+        ("event_queue_micro", JsonValue::Array(micro_json)),
+        ("cluster_scale", JsonValue::Array(cluster_json)),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_event_core.json");
     std::fs::write(path, json.to_pretty_string()).expect("write BENCH_event_core.json");
     println!("wrote {path}");

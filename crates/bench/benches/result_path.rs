@@ -176,28 +176,28 @@ fn main() {
             retained.payload_bytes,
             retained.payload_bytes as f64 / sketch.payload_bytes as f64,
         );
-        let mut row = JsonValue::object();
-        row.push("samples", JsonValue::UInt(n as u64))
-            .push("sketch_record_ns", fixed(sketch.record_ns, 2))
-            .push("sketch_summary_ns", whole(sketch.summary_ns))
-            .push(
+        micro_json.push(JsonValue::from([
+            ("samples", JsonValue::UInt(n as u64)),
+            ("sketch_record_ns", fixed(sketch.record_ns, 2)),
+            ("sketch_summary_ns", whole(sketch.summary_ns)),
+            (
                 "sketch_payload_bytes",
                 JsonValue::UInt(sketch.payload_bytes as u64),
-            )
-            .push("retained_record_ns", fixed(retained.record_ns, 2))
-            .push("retained_summary_ns", whole(retained.summary_ns))
-            .push(
+            ),
+            ("retained_record_ns", fixed(retained.record_ns, 2)),
+            ("retained_summary_ns", whole(retained.summary_ns)),
+            (
                 "retained_payload_bytes",
                 JsonValue::UInt(retained.payload_bytes as u64),
-            )
-            .push(
+            ),
+            (
                 "memory_ratio",
                 fixed(
                     retained.payload_bytes as f64 / sketch.payload_bytes as f64,
                     1,
                 ),
-            );
-        micro_json.push(row);
+            ),
+        ]));
     }
 
     println!(
@@ -218,32 +218,31 @@ fn main() {
         "  {CLUSTER_NODES} nodes: {ms_per_20ms:>7.3} ms per 20 ms sim   \
          {completed} completed   p99 {p99}"
     );
-    let mut cluster_row = JsonValue::object();
-    cluster_row
-        .push("nodes", JsonValue::UInt(CLUSTER_NODES as u64))
-        .push("ms_per_20ms_sim", fixed(ms_per_20ms, 3))
-        .push("completed_requests", JsonValue::UInt(completed))
-        .push("p99_ns", JsonValue::UInt(p99.as_nanos()));
+    let cluster_row = JsonValue::from([
+        ("nodes", JsonValue::UInt(CLUSTER_NODES as u64)),
+        ("ms_per_20ms_sim", fixed(ms_per_20ms, 3)),
+        ("completed_requests", JsonValue::UInt(completed)),
+        ("p99_ns", JsonValue::UInt(p99.as_nanos())),
+    ]);
 
     if smoke {
         println!("smoke mode: skipping BENCH_result_path.json");
         return;
     }
 
-    let mut json = JsonValue::object();
-    json.push("bench", JsonValue::Str("result_path".to_owned()))
-        .push(
-            "methodology",
-            JsonValue::Str(format!(
-                "min over repeats on a shared container; micro: {repeats} repeats over \
-                 identical xoshiro-seeded lognormal samples for both recorders; retained \
-                 baseline is Vec<u64> push + sort-at-summary, the pre-sketch recorder \
-                 shape; cluster row is the tier-1 cluster_scale configuration, every \
-                 completed request crossing the sketch record path"
-            )),
-        )
-        .push("recorder_micro", JsonValue::Array(micro_json))
-        .push("cluster_record_path", JsonValue::Array(vec![cluster_row]));
+    let methodology = format!(
+        "min over repeats on a shared container; micro: {repeats} repeats over \
+         identical xoshiro-seeded lognormal samples for both recorders; retained \
+         baseline is Vec<u64> push + sort-at-summary, the pre-sketch recorder \
+         shape; cluster row is the tier-1 cluster_scale configuration, every \
+         completed request crossing the sketch record path"
+    );
+    let json = JsonValue::from([
+        ("bench", JsonValue::Str("result_path".to_owned())),
+        ("methodology", JsonValue::Str(methodology)),
+        ("recorder_micro", JsonValue::Array(micro_json)),
+        ("cluster_record_path", JsonValue::Array(vec![cluster_row])),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_result_path.json");
     std::fs::write(path, json.to_pretty_string()).expect("write BENCH_result_path.json");
     println!("wrote {path}");
