@@ -1,6 +1,9 @@
 //! Golden-file tests of the artefact layouts no other golden covers: the
-//! top-level fleet object (runs, aggregates, then the `labels` array) and
-//! the cluster array / node-row CSV over a fabric with several repeats.
+//! top-level fleet object (runs, aggregates, then the `labels` array), the
+//! cluster array / node-row CSV over a fabric with several repeats, and a
+//! power-aware eight-node cluster over a delayed fabric with a time-series
+//! sink, long enough that every node's energy is split at thousands of
+//! balancer and fabric instants.
 //!
 //! The expected files under `tests/golden/` were captured from
 //! `apc-cli run <spec> --format json|csv --out <file>` on the specs beside
@@ -92,4 +95,29 @@ fn cluster_csv_with_network_and_repeats_matches_golden_bytes() {
     // One header with the fabric columns, then 2 node rows per repeat.
     assert_eq!(expected.lines().count(), 1 + 2 * 2);
     assert!(expected.starts_with("repeat,node,policy,routed,net_topology,"));
+}
+
+#[test]
+fn power_aware_cluster_over_delayed_fabric_matches_golden_bytes() {
+    let expected = include_str!("golden/cluster_pa8_net.json");
+    assert_golden("cluster_pa8_net.toml", "json", expected);
+    let parsed = JsonValue::parse(expected).expect("golden parses");
+    let repeats = parsed.as_array().expect("one array element per repeat");
+    assert_eq!(repeats.len(), 1);
+    let run = &repeats[0];
+    assert_eq!(
+        run.get("policy").and_then(JsonValue::as_str),
+        Some("power-aware")
+    );
+    let network = run.get("network").expect("fabric statistics present");
+    assert!(network.get("link_latency_ns").and_then(JsonValue::as_u64) > Some(0));
+    // Several thousand routed arrivals, each crossing the fabric.
+    assert!(network.get("messages").and_then(JsonValue::as_u64) > Some(4096));
+    let nodes = run.get("nodes").expect("per-node fleet object");
+    assert_eq!(nodes.get("servers").and_then(JsonValue::as_u64), Some(8));
+    let runs = nodes
+        .get("runs")
+        .and_then(JsonValue::as_array)
+        .expect("node runs");
+    assert!(runs.iter().all(|r| r.get("timeseries").is_some()));
 }
