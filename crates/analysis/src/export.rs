@@ -1064,6 +1064,7 @@ pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
         ("batched_events", UInt(e.batched_events)),
         ("max_batch", UInt(e.max_batch)),
         ("overflow_hits", UInt(e.overflow_hits)),
+        ("hook_calls", UInt(e.hook_calls)),
     ]);
     JsonValue::from([("engine", engine), ("events", Array(events.collect()))])
 }

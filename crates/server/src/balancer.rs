@@ -235,6 +235,7 @@ impl EventHandler<ServerEvent, ClusterState> for Balancer {
     ) {
         debug_assert!(matches!(event, ServerEvent::ClusterArrival));
         let _ = event;
+        shared.record_front_instant(ctx.now());
         let mut request = self.loadgen.next_request();
         let next_arrival = self.loadgen.peek_next_arrival();
         // Cluster head-sampling site: the decision is drawn before routing

@@ -467,6 +467,7 @@ impl EventHandler<ServerEvent, ClusterState> for ChainCoordinator {
         shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
+        shared.record_front_instant(ctx.now());
         match event {
             ServerEvent::ChainArrival => self.on_chain_arrival(shared, ctx),
             ServerEvent::ChainLeafDone { chain } => self.on_leaf_done(chain, shared, ctx),

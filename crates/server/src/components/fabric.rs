@@ -64,7 +64,9 @@ impl FabricState {
 /// The fabric component: the delivery end of every in-flight wire
 /// transmission. Receives [`ServerEvent::WireDeliver`] when a routed RPC's
 /// wire delay elapses and hands the request to the destination node's NIC
-/// exactly as the balancer would have.
+/// exactly as the balancer would have — recording the instant for every
+/// node's energy meter like a front event (see
+/// [`FrontInstants`](super::state::FrontInstants)).
 pub struct Fabric;
 
 impl<S: HasNode> EventHandler<ServerEvent, S> for Fabric {
@@ -74,6 +76,7 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for Fabric {
         shared: &mut S,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
+        shared.record_front_instant(ctx.now());
         match event {
             ServerEvent::WireDeliver { node, request } => {
                 buffer_request(shared.node_mut(node), ctx, request);

@@ -190,15 +190,15 @@ impl ServerEvent {
 }
 
 /// Builds the engine self-profile surfaced in run results from one event
-/// queue's counters (`kinds` is the per-event-kind breakdown, present when
-/// the kind classifier was enabled). Event kinds that never appeared are
-/// dropped from the report.
+/// loop: its queue counters, its observer-hook count and, when the kind
+/// classifier was enabled, the per-event-kind breakdown. Event kinds that
+/// never appeared are dropped from the report.
 #[must_use]
-pub fn profile_report(
-    counters: apc_sim::engine::QueueCounters,
-    kinds: Option<&[apc_sim::engine::KindCounters]>,
+pub fn profile_report<S>(
+    sim: &apc_sim::component::Simulation<ServerEvent, S>,
 ) -> apc_trace::ProfileReport {
-    let events = kinds
+    let events = sim
+        .event_profile()
         .map(|kinds| {
             ServerEvent::KIND_NAMES
                 .iter()
@@ -213,7 +213,10 @@ pub fn profile_report(
         })
         .unwrap_or_default();
     let mut report = apc_trace::ProfileReport {
-        engine: apc_trace::EngineProfile::from_counters(counters),
+        engine: apc_trace::EngineProfile {
+            hook_calls: sim.hook_calls().unwrap_or(0),
+            ..apc_trace::EngineProfile::from_counters(sim.queue_counters())
+        },
         events,
         ..Default::default()
     };

@@ -267,18 +267,12 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
         false
     }
 
-    fn on_post_dispatch(&mut self, now: SimTime, dst: ComponentId, shared: &mut S) {
+    fn on_post_dispatch(&mut self, now: SimTime, _dst: ComponentId, shared: &mut S) {
         // Track the package C-state after every event addressed to this
         // node, whatever component handled it: state may change through
-        // core activity alone. Events outside the node's component range
-        // only deposit into the NIC buffer, which none of the package-state
-        // inputs (core activity, running/pending work, PMU FSMs) read, so
-        // the transition below would always be a same-state no-op for them.
+        // core activity alone. The hook is scoped to the node's own
+        // components (see `ServerNode::register`).
         let shared = shared.node_mut(self.node);
-        let d = dst.as_usize();
-        if d < shared.component_range.0 || d > shared.component_range.1 {
-            return;
-        }
         // Same SoC epoch + same occupancy + no intervening event through
         // this controller (which clears the cache) ⇒ the derivation below
         // would yield the same state again and `transition` would

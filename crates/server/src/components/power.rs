@@ -9,10 +9,14 @@ use super::ServerEvent;
 
 /// Attributes elapsed simulated time to the power state that held during it.
 ///
-/// The pre-dispatch hook runs before *every* event's state changes are
+/// The pre-dispatch hook runs before every event addressed to the node is
 /// applied, so each interval between events is charged at the power level
 /// that actually held across it — the same invariant the monolithic loop
-/// maintained by calling `account_power` at the top of its event loop.
+/// maintained by calling `account_power` at the top of its event loop. In a
+/// multi-node host the hook first splits the interval at the front and
+/// fabric instants the node has not yet seen (see
+/// [`FrontInstants`](super::state::FrontInstants)), at the same breakdown:
+/// those events cannot have changed it.
 ///
 /// The power breakdown is a pure function of three inputs: the uncore
 /// component states, the per-core C-state vector and the busy-core count
@@ -86,9 +90,10 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PowerTelemetry {
     }
 
     fn on_pre_dispatch(&mut self, now: SimTime, _dst: ComponentId, shared: &mut S) {
-        let node = shared.node_mut(self.node);
+        let (node, pending) = shared.node_with_instants(self.node);
         if now <= node.telemetry.energy.last() {
-            // Zero-length interval: `advance` would be a no-op, so the
+            // Zero-length interval: `advance` would be a no-op, and so would
+            // every pending instant (none is later than `now`), so the
             // breakdown is not needed at all.
             return;
         }
@@ -106,6 +111,7 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PowerTelemetry {
                 &self.cached.as_ref().expect("cache filled above").3
             }
         };
+        node.charge_instants(pending, breakdown);
         node.telemetry.energy.advance(now, breakdown);
     }
 }

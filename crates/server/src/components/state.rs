@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 
 use apc_power::energy::EnergyMeter;
+use apc_power::model::PowerBreakdown;
 use apc_power::units::Watts;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::core::CoreActivity;
@@ -342,15 +343,10 @@ pub struct ServerState {
     pub config: ServerConfig,
     /// Peer component ids, filled by the driver after registration.
     pub addrs: Addresses,
-    /// Inclusive range of raw component ids registered for this node
-    /// (components are registered contiguously per node), filled by the
-    /// driver after registration. The node's observers use it to recognise
-    /// events that cannot have mutated this node's state: anything
-    /// dispatched outside the range only *deposits* into the NIC buffer
-    /// (balancer / chain-coordinator arrivals), which no power or
-    /// package-state derivation reads. The default covers every component,
-    /// which is always safe (no skipping).
-    pub component_range: (usize, usize),
+    /// How far into the host's [`FrontInstants`] log this node's energy
+    /// meter has been split: entries before the cursor are charged, the
+    /// rest are pending. Always 0 in a standalone server, which has no log.
+    pub front_cursor: usize,
     /// The SoC structural model.
     pub soc: SkxSoc,
     /// NIC arrival buffering (coalescing window).
@@ -397,7 +393,7 @@ impl ServerState {
         ServerState {
             soc,
             addrs: Addresses::default(),
-            component_range: (0, usize::MAX),
+            front_cursor: 0,
             nic: NicState::default(),
             sched: SchedState::new(cores),
             uncore: UncoreStatus::default(),
@@ -444,6 +440,28 @@ impl ServerState {
     pub fn account_power(&mut self, to: SimTime) {
         let breakdown = self.power_snapshot();
         self.telemetry.energy.advance(to, &breakdown);
+    }
+
+    /// Splits the energy meter at each of `instants` (pending
+    /// [`FrontInstants`], ascending and no later than the present) at
+    /// `breakdown`, the power the node holds now.
+    pub fn charge_instants(&mut self, instants: &[SimTime], breakdown: &PowerBreakdown) {
+        for &at in instants {
+            self.telemetry.energy.advance(at, breakdown);
+        }
+    }
+
+    /// [`ServerState::charge_instants`] at a freshly derived breakdown,
+    /// derived only when some instant lies past the meter's last accounting
+    /// point.
+    pub fn settle_instants(&mut self, instants: &[SimTime]) {
+        if instants
+            .last()
+            .is_some_and(|&at| at > self.telemetry.energy.last())
+        {
+            let breakdown = self.power_snapshot();
+            self.charge_instants(instants, &breakdown);
+        }
     }
 
     /// Closes every telemetry stream at the end of the measurement window.
@@ -519,6 +537,17 @@ pub trait HasNode {
     fn trace_mut(&mut self) -> Option<&mut TraceState> {
         None
     }
+    /// Node `index`'s state together with the [`FrontInstants`] it has not
+    /// yet charged, which this call marks charged: the caller must split
+    /// the node's energy meter at them. Defaults to no instants — only a
+    /// multi-node host has a front component.
+    fn node_with_instants(&mut self, index: usize) -> (&mut ServerState, &[SimTime]) {
+        (self.node_mut(index), &[])
+    }
+    /// Records that an event addressed to the front component or the fabric
+    /// is being dispatched at `now` (see [`FrontInstants`]). A no-op by
+    /// default.
+    fn record_front_instant(&mut self, _now: SimTime) {}
 }
 
 /// The single-server case: the state is its own (only) node.
@@ -542,6 +571,54 @@ impl HasNode for ServerState {
     }
 }
 
+/// The instants at which events addressed to a multi-node host's front
+/// component (balancer or chain coordinator) or fabric were dispatched, in
+/// order, consecutive duplicates dropped.
+///
+/// Such an event only deposits requests into node NIC buffers, and no power
+/// input reads a NIC buffer (not the uncore epoch, not the core C-state
+/// fingerprint, not the busy-core count). So a node's power breakdown is
+/// constant between its own events, and the splits a standalone server's
+/// `ClientArrival` would make at those instants can be charged lazily: each
+/// node's power observer replays the instants past its
+/// [`ServerState::front_cursor`] at the node's breakdown on its next own
+/// event, and result collection replays the rest. The replay repeats the
+/// same [`EnergyMeter::advance`] additions in the same order as charging
+/// every node eagerly at each instant, so the energy is bit-identical —
+/// at O(1) cost per front event instead of O(nodes).
+///
+/// The log holds at most [`FrontInstants::CAPACITY`] instants: on reaching
+/// it every node catches up and the log starts over.
+#[derive(Debug, Default)]
+pub struct FrontInstants {
+    instants: Vec<SimTime>,
+}
+
+impl FrontInstants {
+    /// Instants held before every node is made to catch up.
+    pub const CAPACITY: usize = 4096;
+
+    fn record(&mut self, now: SimTime, nodes: &mut [ServerState]) {
+        if self.instants.last() == Some(&now) {
+            return;
+        }
+        if self.instants.len() == Self::CAPACITY {
+            for node in nodes {
+                node.settle_instants(&self.instants[node.front_cursor..]);
+                node.front_cursor = 0;
+            }
+            self.instants.clear();
+        }
+        self.instants.push(now);
+    }
+
+    fn take_pending(&self, node: &mut ServerState) -> &[SimTime] {
+        let pending = &self.instants[node.front_cursor..];
+        node.front_cursor = self.instants.len();
+        pending
+    }
+}
+
 /// The state shared by every component of a cluster simulation: one complete
 /// [`ServerState`] per node, hosted in a single event loop.
 #[derive(Debug)]
@@ -555,6 +632,8 @@ pub struct ClusterState {
     /// every node, because a routed request's span tree crosses nodes.
     /// `None` when tracing is off.
     pub trace: Option<TraceState>,
+    /// Instants of front and fabric events not yet charged to every node.
+    pub front_instants: FrontInstants,
 }
 
 impl ClusterState {
@@ -566,6 +645,7 @@ impl ClusterState {
             nodes: configs.into_iter().map(ServerState::new).collect(),
             fabric: None,
             trace: None,
+            front_instants: FrontInstants::default(),
         }
     }
 }
@@ -589,6 +669,16 @@ impl HasNode for ClusterState {
 
     fn trace_mut(&mut self) -> Option<&mut TraceState> {
         self.trace.as_mut()
+    }
+
+    fn node_with_instants(&mut self, index: usize) -> (&mut ServerState, &[SimTime]) {
+        let node = &mut self.nodes[index];
+        let pending = self.front_instants.take_pending(node);
+        (node, pending)
+    }
+
+    fn record_front_instant(&mut self, now: SimTime) {
+        self.front_instants.record(now, &mut self.nodes);
     }
 }
 
@@ -664,6 +754,32 @@ mod tests {
         state.sched.mark_occupied(0);
         assert!(!state.sched.core_is_free(&state.soc, 0));
         assert_eq!(state.sched.free_cores.lowest(), Some(2));
+    }
+
+    #[test]
+    fn front_instants_replay_matches_eager_splits_across_a_catch_up() {
+        // Eager: split every node's meter at each front instant as it is
+        // dispatched. Lazy: log the instants — enough to pass the capacity
+        // once, with consecutive duplicates — then settle the remainder.
+        let configs = vec![ServerConfig::c_pc1a(), ServerConfig::c_deep()];
+        let mut lazy = ClusterState::new(configs.clone());
+        let mut eager = ClusterState::new(configs);
+        let count = FrontInstants::CAPACITY as u64 + 10;
+        for at in (1..=count).flat_map(|i| [SimTime::from_nanos(7 * i); 2]) {
+            lazy.record_front_instant(at);
+            for node in &mut eager.nodes {
+                node.account_power(at);
+            }
+        }
+        assert_eq!(lazy.front_instants.instants.len(), 10, "one catch-up");
+        for index in 0..2 {
+            let (node, pending) = lazy.node_with_instants(index);
+            node.settle_instants(pending);
+            let reference = &eager.nodes[index].telemetry.energy;
+            assert_eq!(node.telemetry.energy.energy(), reference.energy());
+            assert_eq!(node.telemetry.energy.last(), reference.last());
+        }
+        assert!(lazy.node_with_instants(0).1.is_empty(), "nothing pending");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! component — the balancer replaying a workload's arrival stream, or the
 //! chain coordinator issuing fan-out tiers — and in how they map the run's
 //! telemetry into a result. Everything else lives here, once: the shared
-//! [`ClusterState`], node registration, the network fabric, the power
-//! observers' subscriptions, the trace sampler, the self-profiler, the
-//! bootstrap, and end-of-run collection.
+//! [`ClusterState`] (with the log of front and fabric instants every node's
+//! energy meter is split at), node registration, the network fabric, the
+//! trace sampler, the self-profiler, the bootstrap, and end-of-run
+//! collection.
 //!
 //! # Event order
 //!
@@ -110,27 +111,18 @@ impl MultiNode {
             .iter()
             .map(|b| b.register(&mut sim, None))
             .collect();
-        let front_id = sim.add_component(front.name, front.handler);
         // Each node's observers are scoped to the node's own components (see
-        // `ServerNode::register`); subscribe the power observers to the
-        // front component too, since its arrivals deposit into a node's NIC
-        // buffer — the instant a standalone server would account through its
-        // own `ClientArrival`. The package observers stay unsubscribed: a
-        // front event only touches a NIC buffer, which none of the
-        // package-state inputs read, so their hooks would record a
-        // same-state no-op transition (the range check in
-        // `PackageController::on_post_dispatch` guards the same invariant).
+        // `ServerNode::register`). Front and fabric events deposit into a
+        // node's NIC buffer — the instant a standalone server would account
+        // through its own `ClientArrival` — so their handlers record that
+        // instant in the shared `FrontInstants` log, which every node's power
+        // observer charges lazily; no observer runs on them.
+        let front_id = sim.add_component(front.name, front.handler);
         // The fabric component registers even without a `[network]`
         // configuration: registration forks its RNG stream by name (a pure
         // function that perturbs no other stream) and an absent fabric never
         // receives an event, so the no-network event sequence is untouched.
-        // A deferred `WireDeliver` deposits into a node's NIC buffer just
-        // like a front arrival, so the power observers watch it too.
         let fabric_id = sim.add_component("fabric", Fabric);
-        for handles in &nodes {
-            sim.add_observer_target(handles.power, front_id);
-            sim.add_observer_target(handles.power, fabric_id);
-        }
         sim.shared_mut().fabric =
             network.map(|config| FabricState::new(config, node_count, fabric_id));
         sim.shared_mut().trace = trace_config
@@ -173,9 +165,9 @@ impl MultiNode {
             .fabric
             .as_ref()
             .map(|f| f.net.stats().clone());
-        let profile = self.profile.then(|| {
-            crate::components::profile_report(self.sim.queue_counters(), self.sim.event_profile())
-        });
+        let profile = self
+            .profile
+            .then(|| crate::components::profile_report(&self.sim));
         let runs = self
             .nodes
             .iter()

@@ -178,34 +178,22 @@ impl ServerNode {
 
         // The node's two observers (power accounting, package-residency
         // tracking) read only this node's state, and only events addressed
-        // to this node's components can mutate it — so their dispatch hooks
-        // are scoped to the node instead of running on every event of the
-        // host simulation. In a standalone server this covers every
-        // component (identical behaviour); in a cluster it keeps the
-        // per-event hook cost O(1) in the node count. The cluster driver
-        // additionally subscribes both observers to its balancer, whose
-        // arrival events deposit into node NIC buffers (see
-        // [`crate::cluster::ClusterSimulation`]).
+        // to this node's components can change what they read — so their
+        // dispatch hooks are scoped to the node instead of running on every
+        // event of the host simulation. In a standalone server this covers
+        // every component (identical behaviour); in a multi-node host it
+        // keeps the per-event hook cost O(1) in the node count. Front and
+        // fabric events only deposit into NIC buffers, which neither
+        // observer reads; the power observer charges their instants lazily
+        // from the host's log (see
+        // [`FrontInstants`](crate::components::state::FrontInstants)).
         let mut node_components = vec![power, package_id, scheduler, nic];
         node_components.extend(addrs.cores.iter().copied());
         node_components.extend(timeseries);
         sim.scope_observer(power, &node_components);
         sim.scope_observer(package_id, &node_components);
 
-        // All ids from `power` (first registered) to the last one belong to
-        // this node; the observers use the range to skip events that cannot
-        // have mutated node state (see `ServerState::component_range`).
-        let first = power.as_usize();
-        let last = node_components
-            .iter()
-            .map(|c| c.as_usize())
-            .max()
-            .expect("node registers at least one component");
-        {
-            let state = sim.shared_mut().node_mut(self.index);
-            state.addrs = addrs.clone();
-            state.component_range = (first, last);
-        }
+        sim.shared_mut().node_mut(self.index).addrs = addrs.clone();
         NodeHandles {
             index: self.index,
             addrs,
@@ -262,9 +250,10 @@ impl ServerNode {
 }
 
 impl NodeHandles {
-    /// Closes the node's telemetry at `end` and reduces it into a
-    /// [`RunResult`] — the same reduction for a standalone server and for
-    /// every node of a cluster.
+    /// Charges the front and fabric instants the node has not yet seen,
+    /// closes its telemetry at `end` and reduces it into a [`RunResult`] —
+    /// the same reduction for a standalone server and for every node of a
+    /// cluster.
     #[must_use]
     pub fn collect_result(&self, shared: &mut impl HasNode, end: SimTime) -> RunResult {
         let package = self.package.borrow();
@@ -272,7 +261,8 @@ impl NodeHandles {
         let pc6_entries = package.gpmu().pc6_entries();
         drop(package);
 
-        let state = shared.node_mut(self.index);
+        let (state, pending) = shared.node_with_instants(self.index);
+        state.settle_instants(pending);
         state.finish_telemetry(end);
         let cores = state.soc.cores().len() as f64;
         let util = state.telemetry.busy_core_time.as_secs_f64()

@@ -86,10 +86,7 @@ impl ServerSimulation {
         let mut result = self.node.collect_result(self.sim.shared_mut(), self.end_at);
         result.events_dispatched = dispatched;
         if self.profile {
-            result.profile = Some(profile_report(
-                self.sim.queue_counters(),
-                self.sim.event_profile(),
-            ));
+            result.profile = Some(profile_report(&self.sim));
         }
         (result, self.sim.into_shared())
     }

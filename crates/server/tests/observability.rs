@@ -210,6 +210,49 @@ fn fabric_profile_reports_come_from_one_event_loop() {
     assert_eq!(profile.hub_replay_ns, 0);
 }
 
+/// Observer hooks cost O(1) per event whatever the node count: each node's
+/// power and package observers watch only the node's own components, and
+/// front (balancer, chain coordinator) and fabric events run no hook at all
+/// — every node charges their instants lazily. So a profiled run never runs
+/// more than two hooks per dispatched event.
+#[test]
+fn observer_hooks_stay_within_two_per_dispatched_event() {
+    let base = ServerConfig::c_pc1a()
+        .with_duration(SimDuration::from_millis(20))
+        .with_seed(29)
+        .with_profile();
+    let cluster = run_cluster_experiment(
+        &base,
+        4,
+        RoutingPolicyKind::PowerAware,
+        WorkloadSpec::memcached_etc(),
+        80_000.0,
+    );
+    let graph = RequestGraph::fanout(TierService::frontend(), TierService::memcached_leaf(), 4);
+    let chain = ChainMember::homogeneous(
+        &base,
+        4,
+        RoutingPolicyKind::JoinShortestQueue,
+        graph,
+        8_000.0,
+    )
+    .with_network(NetworkConfig::two_tier(SimDuration::from_micros(5), 2))
+    .run();
+    for (shape, profile) in [
+        ("power-aware cluster", cluster.profile),
+        ("chain over a two-tier fabric", chain.profile),
+    ] {
+        let engine = profile.expect("profiled run carries a report").engine;
+        assert!(engine.hook_calls > 0, "{shape}: no hook counted");
+        assert!(
+            engine.hook_calls <= 2 * engine.dispatched,
+            "{shape}: {} hook calls for {} dispatched events",
+            engine.hook_calls,
+            engine.dispatched
+        );
+    }
+}
+
 /// Finds the spans of `trace_id`, keyed by kind.
 fn spans_of(log: &TraceLog, trace_id: u64) -> Vec<&Span> {
     log.spans().iter().filter(|s| s.trace == trace_id).collect()

@@ -285,6 +285,10 @@ pub struct Simulation<E, S> {
     /// component id; inner order is subscription order.
     scoped_pre: Vec<Vec<usize>>,
     scoped_post: Vec<Vec<usize>>,
+    /// Observer hooks (pre and post) run since
+    /// [`Simulation::enable_event_profile`]; `None` while profiling is off,
+    /// so an unprofiled run pays one branch per hook pass.
+    hook_calls: Option<u64>,
     shared: S,
 }
 
@@ -304,6 +308,7 @@ impl<E, S> Simulation<E, S> {
             observers_post: Vec::new(),
             scoped_pre: Vec::new(),
             scoped_post: Vec::new(),
+            hook_calls: None,
             shared,
         }
     }
@@ -386,9 +391,7 @@ impl<E, S> Simulation<E, S> {
     /// Scoping is correct when everything the observer's hooks read can
     /// only be mutated by events addressed to `targets` — then every hook
     /// invocation this skips would have observed (and recorded) exactly the
-    /// state it observed at the previous invocation. Use
-    /// [`Simulation::add_observer_target`] to extend the set later (e.g.
-    /// with a router component registered after the sub-system).
+    /// state it observed at the previous invocation.
     ///
     /// Hook order per event: global observers first (registration order),
     /// then the destination's scoped observers (subscription order).
@@ -414,22 +417,6 @@ impl<E, S> Simulation<E, S> {
         for &target in targets {
             self.add_scoped(observer.0, target);
         }
-    }
-
-    /// Additionally runs the (already scoped) observer's hooks for events
-    /// addressed to `target`. See [`Simulation::scope_observer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observer` is still a global observer (scope it first) or
-    /// is already subscribed to `target`.
-    pub fn add_observer_target(&mut self, observer: ComponentId, target: ComponentId) {
-        assert!(
-            !self.observers_pre.contains(&observer.0) && !self.observers_post.contains(&observer.0),
-            "component {:?} observes every event; scope it before adding targets",
-            self.name(observer)
-        );
-        self.add_scoped(observer.0, target);
     }
 
     fn add_scoped(&mut self, observer: usize, target: ComponentId) {
@@ -492,15 +479,24 @@ impl<E, S> Simulation<E, S> {
         self.queue.counters()
     }
 
-    /// Enables per-event-kind profiling on the underlying queue: `classify`
-    /// maps each payload to a kind index in `0..kinds`. Purely observational —
-    /// dispatch order and component behaviour are unaffected.
+    /// Enables per-event-kind profiling on the underlying queue — `classify`
+    /// maps each payload to a kind index in `0..kinds` — and starts counting
+    /// observer-hook invocations ([`Simulation::hook_calls`]). Purely
+    /// observational: dispatch order and component behaviour are unaffected.
     pub fn enable_event_profile(&mut self, kinds: usize, classify: impl Fn(&E) -> usize + 'static)
     where
         E: 'static,
     {
         self.queue
             .enable_profile(kinds, move |env: &Envelope<E>| classify(&env.payload));
+        self.hook_calls = Some(0);
+    }
+
+    /// Dispatch-observer hooks (pre and post) run since
+    /// [`Simulation::enable_event_profile`], or `None` when profiling is off.
+    #[must_use]
+    pub fn hook_calls(&self) -> Option<u64> {
+        self.hook_calls
     }
 
     /// Per-event-kind counter rows, if [`Simulation::enable_event_profile`]
@@ -604,6 +600,7 @@ impl<E, S> Simulation<E, S> {
             self.handlers[i].on_pre_dispatch(now, dst, &mut self.shared);
         }
         let scoped_count = self.scoped_pre.get(dst.0).map_or(0, Vec::len);
+        self.count_hooks(self.observers_pre.len() + scoped_count);
         for idx in 0..scoped_count {
             let i = self.scoped_pre[dst.0][idx];
             self.handlers[i].on_pre_dispatch(now, dst, &mut self.shared);
@@ -616,9 +613,16 @@ impl<E, S> Simulation<E, S> {
             self.handlers[i].on_post_dispatch(now, dst, &mut self.shared);
         }
         let scoped_count = self.scoped_post.get(dst.0).map_or(0, Vec::len);
+        self.count_hooks(self.observers_post.len() + scoped_count);
         for idx in 0..scoped_count {
             let i = self.scoped_post[dst.0][idx];
             self.handlers[i].on_post_dispatch(now, dst, &mut self.shared);
+        }
+    }
+
+    fn count_hooks(&mut self, hooks: usize) {
+        if let Some(calls) = self.hook_calls.as_mut() {
+            *calls += hooks as u64;
         }
     }
 }
@@ -744,6 +748,9 @@ mod tests {
         assert_eq!(plain.shared().ticks, profiled.shared().ticks);
         assert_eq!(plain.dispatched(), profiled.dispatched());
         assert!(plain.event_profile().is_none());
+        assert_eq!(plain.hook_calls(), None);
+        // The sink is a global observer with both hooks.
+        assert_eq!(profiled.hook_calls(), Some(2 * profiled.dispatched()));
         let kinds = profiled.event_profile().expect("profile enabled");
         assert_eq!(kinds[0].dispatched, 5, "five ticks");
         assert_eq!(kinds[1].dispatched, 5, "five forwards");
@@ -831,21 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_targets_can_be_extended() {
-        let mut sim = Simulation::new(7, Shared::default());
-        let sink = sim.add_component("sink", Sink);
-        let a = sim.add_component("a", Ticker { peer: None });
-        let b = sim.add_component("b", Ticker { peer: None });
-        sim.scope_observer(sink, &[a]);
-        sim.add_observer_target(sink, b);
-        sim.schedule(a, SimTime::from_micros(1), Ev::Noise);
-        sim.schedule(b, SimTime::from_micros(2), Ev::Noise);
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.shared().pre_calls, 2);
-        assert_eq!(sim.shared().post_calls, 2);
-    }
-
-    #[test]
     fn scoping_an_observer_to_all_components_matches_global_default() {
         // The scoped path must reproduce the global path exactly when the
         // scope covers every component (the standalone-server case).
@@ -867,14 +859,6 @@ mod tests {
         let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
         let ticker = sim.add_component("ticker", Ticker { peer: None });
         sim.scope_observer(ticker, &[ticker]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scope it before adding targets")]
-    fn adding_targets_to_a_global_observer_panics() {
-        let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
-        let sink = sim.add_component("sink", Sink);
-        sim.add_observer_target(sink, sink);
     }
 
     #[test]

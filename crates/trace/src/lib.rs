@@ -289,7 +289,8 @@ impl TraceState {
     }
 }
 
-/// Aggregate event-core counters (see [`QueueCounters`] for field semantics).
+/// Aggregate event-core counters (see [`QueueCounters`] for the queue
+/// fields' semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineProfile {
     /// Events scheduled.
@@ -306,10 +307,14 @@ pub struct EngineProfile {
     pub max_batch: u64,
     /// Events that missed the wheel horizon and hit the overflow heap.
     pub overflow_hits: u64,
+    /// Dispatch-observer hooks (pre and post) the event loop ran. Not a
+    /// queue counter: the simulation driver fills it in.
+    pub hook_calls: u64,
 }
 
 impl EngineProfile {
-    /// Lifts one event queue's counters into a profile.
+    /// Lifts one event queue's counters into a profile
+    /// ([`EngineProfile::hook_calls`] stays zero).
     pub fn from_counters(c: QueueCounters) -> Self {
         Self {
             scheduled: c.scheduled,
@@ -319,6 +324,7 @@ impl EngineProfile {
             batched_events: c.batched_events,
             max_batch: c.max_batch,
             overflow_hits: c.overflow_hits,
+            hook_calls: 0,
         }
     }
 }
@@ -381,7 +387,7 @@ impl fmt::Display for ProfileReport {
         writeln!(
             f,
             "engine: scheduled {} dispatched {} cancelled {} | level0 batches {} \
-             (events {}, max {}) overflow hits {}",
+             (events {}, max {}) overflow hits {} hook calls {}",
             self.engine.scheduled,
             self.engine.dispatched,
             self.engine.cancelled,
@@ -389,6 +395,7 @@ impl fmt::Display for ProfileReport {
             self.engine.batched_events,
             self.engine.max_batch,
             self.engine.overflow_hits,
+            self.engine.hook_calls,
         )?;
         for kind in &self.events {
             writeln!(
@@ -466,6 +473,7 @@ mod tests {
                 batched_events: 8,
                 max_batch: 3,
                 overflow_hits: 2,
+                hook_calls: 0,
             }
         );
     }
