@@ -346,7 +346,7 @@ pub struct ServerState {
     /// How far into the host's [`FrontInstants`] log this node's energy
     /// meter has been split: entries before the cursor are charged, the
     /// rest are pending. Always 0 in a standalone server, which has no log.
-    pub front_cursor: usize,
+    pub(crate) front_cursor: usize,
     /// The SoC structural model.
     pub soc: SkxSoc,
     /// NIC arrival buffering (coalescing window).
@@ -445,7 +445,7 @@ impl ServerState {
     /// Splits the energy meter at each of `instants` (pending
     /// [`FrontInstants`], ascending and no later than the present) at
     /// `breakdown`, the power the node holds now.
-    pub fn charge_instants(&mut self, instants: &[SimTime], breakdown: &PowerBreakdown) {
+    pub(crate) fn charge_instants(&mut self, instants: &[SimTime], breakdown: &PowerBreakdown) {
         for &at in instants {
             self.telemetry.energy.advance(at, breakdown);
         }
@@ -454,7 +454,7 @@ impl ServerState {
     /// [`ServerState::charge_instants`] at a freshly derived breakdown,
     /// derived only when some instant lies past the meter's last accounting
     /// point.
-    pub fn settle_instants(&mut self, instants: &[SimTime]) {
+    pub(crate) fn settle_instants(&mut self, instants: &[SimTime]) {
         if instants
             .last()
             .is_some_and(|&at| at > self.telemetry.energy.last())
@@ -580,9 +580,9 @@ impl HasNode for ServerState {
 /// fingerprint, not the busy-core count). So a node's power breakdown is
 /// constant between its own events, and the splits a standalone server's
 /// `ClientArrival` would make at those instants can be charged lazily: each
-/// node's power observer replays the instants past its
-/// [`ServerState::front_cursor`] at the node's breakdown on its next own
-/// event, and result collection replays the rest. The replay repeats the
+/// node keeps a cursor into the log, its power observer replays the
+/// instants past the cursor at the node's breakdown on its next own event,
+/// and result collection replays the rest. The replay repeats the
 /// same [`EnergyMeter::advance`] additions in the same order as charging
 /// every node eagerly at each instant, so the energy is bit-identical —
 /// at O(1) cost per front event instead of O(nodes).
