@@ -250,3 +250,38 @@ fn packing_deepens_idle_on_spared_nodes() {
         max_res(&spread)
     );
 }
+
+/// Past 64 nodes: a 72-node power-aware cluster at light load packs onto
+/// the low indices while nodes with index ≥ 64 still take some requests.
+/// The routing decisions and the event count are pinned as literals, so
+/// any change to how `PowerAware` picks among awake nodes — in either
+/// 64-node word — shows up here.
+#[test]
+fn power_aware_routes_past_64_nodes() {
+    let base = ServerConfig::c_pc1a()
+        .with_duration(SimDuration::from_millis(10))
+        .with_seed(23);
+    let result = run_cluster_experiment(
+        &base,
+        72,
+        RoutingPolicyKind::PowerAware,
+        WorkloadSpec::memcached_etc(),
+        72.0 * 2_000.0,
+    );
+    assert!(
+        result.routed[64..].iter().all(|&r| r > 0),
+        "no load past node 63: {:?}",
+        result.routed
+    );
+    assert!(result.routed[0] > 10 * result.routed[71], "not packing");
+    #[rustfmt::skip]
+    let routed: [u64; 72] = [
+        102, 97, 88, 83, 56, 75, 48, 70, 61, 46, 39, 54, 40, 34, 39, 38,
+        29, 28, 21, 27, 28, 23, 21, 27, 22, 21, 18, 18, 23, 19, 19, 19,
+        20, 16, 22, 16, 16, 18, 21, 18, 10, 16, 15, 13, 11, 12, 12, 15,
+        16, 15, 13, 10, 9, 5, 14, 11, 6, 9, 10, 9, 7, 10, 5, 7,
+        2, 4, 4, 4, 6, 3, 2, 2,
+    ];
+    assert_eq!(result.routed, routed);
+    assert_eq!(result.events_dispatched, 100_943);
+}
