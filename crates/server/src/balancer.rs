@@ -38,9 +38,10 @@ pub trait RoutingPolicy: Send {
     /// Picks the node for the next request.
     ///
     /// `cluster` exposes every node's queues, core activity and package
-    /// state; `rng` is the balancer's private deterministic stream (so
-    /// randomised policies never perturb node streams). Must return an index
-    /// `< cluster.node_count()`.
+    /// state, plus the maintained set of awake nodes
+    /// ([`ClusterState::awake_nodes`]); `rng` is the balancer's private
+    /// deterministic stream (so randomised policies never perturb node
+    /// streams). Must return an index `< cluster.node_count()`.
     fn route(&mut self, cluster: &ClusterState, rng: &mut SimRng) -> usize;
 }
 
@@ -108,6 +109,10 @@ impl RoutingPolicy for JoinShortestQueue {
 /// remaining nodes see long unbroken idle periods and deep PC1A/PC6
 /// residency — the routing-layer complement to the paper's fast package
 /// C-state.
+///
+/// The candidates come from [`ClusterState::awake_nodes`], so a decision
+/// reads only the awake nodes' load instead of probing every node's cores;
+/// debug builds check each decision against that full probe.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PowerAware;
 
@@ -117,10 +122,21 @@ impl RoutingPolicy for PowerAware {
     }
 
     fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let awake = (0..cluster.node_count())
-            .filter(|&i| cluster.node(i).any_core_active())
-            .min_by_key(|&i| (cluster.node(i).outstanding, i));
-        awake.unwrap_or_else(|| min_by_key_index(cluster, |n| n.outstanding))
+        let load = |i: usize| (cluster.node(i).outstanding, i);
+        let target = cluster
+            .awake_nodes()
+            .iter()
+            .min_by_key(|&i| load(i))
+            .unwrap_or_else(|| min_by_key_index(cluster, |n| n.outstanding));
+        debug_assert_eq!(
+            target,
+            (0..cluster.node_count())
+                .filter(|&i| cluster.node(i).any_core_active())
+                .min_by_key(|&i| load(i))
+                .unwrap_or_else(|| min_by_key_index(cluster, |n| n.outstanding)),
+            "awake-set decision differs from the full scan"
+        );
+        target
     }
 }
 

@@ -272,17 +272,18 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
         // node, whatever component handled it: state may change through
         // core activity alone. The hook is scoped to the node's own
         // components (see `ServerNode::register`).
-        let shared = shared.node_mut(self.node);
+        let node = shared.node_mut(self.node);
         // Same SoC epoch + same occupancy + no intervening event through
         // this controller (which clears the cache) ⇒ the derivation below
         // would yield the same state again and `transition` would
-        // early-return: skip both.
-        let epoch = shared.soc.change_epoch();
-        let occupied = shared.sched.free_cores.count() < shared.sched.running.len();
+        // early-return: skip both. The node's awake bit stays exact too:
+        // `any_core_active` reads nothing but the cores and the occupancy.
+        let epoch = node.soc.change_epoch();
+        let occupied = node.sched.free_cores.count() < node.sched.running.len();
         if self.residency_cache == Some((epoch, occupied)) {
             return;
         }
-        let any_active = shared.any_core_active();
+        let any_active = node.any_core_active();
         let state = match self.policy {
             PackagePolicy::Pc1a => self.apmu.package_state(any_active),
             PackagePolicy::Pc6 => self.gpmu.package_state(!any_active),
@@ -294,7 +295,8 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
                 }
             }
         };
-        shared.telemetry.package_residency.transition(now, state);
+        node.telemetry.package_residency.transition(now, state);
         self.residency_cache = Some((epoch, occupied));
+        shared.set_awake(self.node, any_active);
     }
 }

@@ -136,6 +136,21 @@ impl FreeCoreSet {
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+
+    /// The set indices in ascending order, one `trailing_zeros` per index.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut word_idx = 0;
+        let mut word = self.words.first().copied().unwrap_or(0);
+        std::iter::from_fn(move || loop {
+            if word != 0 {
+                let index = word_idx * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                return Some(index);
+            }
+            word_idx += 1;
+            word = *self.words.get(word_idx)?;
+        })
+    }
 }
 
 /// NIC-side arrival buffering: requests waiting for the coalesced interrupt
@@ -365,8 +380,9 @@ pub struct ServerState {
     /// the NIC-buffer deposit (+1, every arrival path goes through the
     /// shared `buffer_request` helper) and client service completion (−1);
     /// moves between buffer → queue → reserved → running are neutral. The
-    /// JSQ and power-aware balancers read a load signal per node per
-    /// arrival, so it must be O(1).
+    /// JSQ balancer reads it for every node on every arrival and the
+    /// power-aware balancer for every awake node (see
+    /// [`ClusterState::awake_nodes`]), so it must be O(1).
     pub outstanding: usize,
     /// Measurements.
     pub telemetry: TelemetryState,
@@ -548,6 +564,10 @@ pub trait HasNode {
     /// is being dispatched at `now` (see [`FrontInstants`]). A no-op by
     /// default.
     fn record_front_instant(&mut self, _now: SimTime) {}
+    /// Records node `index`'s freshly derived
+    /// [`ServerState::any_core_active`] (see [`ClusterState::awake_nodes`]).
+    /// A no-op by default — only a multi-node host routes on it.
+    fn set_awake(&mut self, _index: usize, _awake: bool) {}
 }
 
 /// The single-server case: the state is its own (only) node.
@@ -634,6 +654,9 @@ pub struct ClusterState {
     pub trace: Option<TraceState>,
     /// Instants of front and fabric events not yet charged to every node.
     pub front_instants: FrontInstants,
+    /// Bit `i` is `nodes[i].any_core_active()`; see
+    /// [`ClusterState::awake_nodes`].
+    awake: FreeCoreSet,
 }
 
 impl ClusterState {
@@ -641,12 +664,38 @@ impl ClusterState {
     /// network fabric (instantaneous deposits).
     #[must_use]
     pub fn new(configs: Vec<ServerConfig>) -> Self {
+        // Every node boots awake: its cores start busy and occupied.
+        let mut awake = FreeCoreSet::empty(configs.len());
+        (0..configs.len()).for_each(|i| awake.insert(i));
         ClusterState {
             nodes: configs.into_iter().map(ServerState::new).collect(),
             fabric: None,
             trace: None,
             front_instants: FrontInstants::default(),
+            awake,
         }
+    }
+
+    /// The nodes with a core active or work in flight: bit `i` is exactly
+    /// `nodes[i].any_core_active()` (checked bit for bit on every read in
+    /// debug builds).
+    ///
+    /// A node's awake value moves only on its own events: front and fabric
+    /// events only deposit into NIC buffers, which the value does not read.
+    /// After each own-node event the node's package controller either
+    /// derives the value afresh and stores it through
+    /// [`HasNode::set_awake`], or skips because neither the SoC change
+    /// epoch nor the core occupancy moved, which leaves the value — and the
+    /// bit — as they were. So the power-aware balancer reads the awake
+    /// nodes in one `trailing_zeros` walk instead of scanning every node.
+    #[must_use]
+    pub fn awake_nodes(&self) -> &FreeCoreSet {
+        debug_assert!(
+            (0..self.nodes.len())
+                .all(|i| self.awake.contains(i) == self.nodes[i].any_core_active()),
+            "awake set out of step with the nodes"
+        );
+        &self.awake
     }
 }
 
@@ -679,6 +728,14 @@ impl HasNode for ClusterState {
 
     fn record_front_instant(&mut self, now: SimTime) {
         self.front_instants.record(now, &mut self.nodes);
+    }
+
+    fn set_awake(&mut self, index: usize, awake: bool) {
+        if awake {
+            self.awake.insert(index);
+        } else {
+            self.awake.remove(index);
+        }
     }
 }
 
@@ -714,6 +771,11 @@ mod tests {
         set.remove(64);
         assert_eq!(set.lowest(), Some(129));
         assert_eq!(set.count(), 1);
+        for index in [0, 63, 65, 128] {
+            set.insert(index);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 63, 65, 128, 129]);
+        assert_eq!(FreeCoreSet::empty(0).iter().next(), None);
     }
 
     #[test]
