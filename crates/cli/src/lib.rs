@@ -810,11 +810,13 @@ fn cmd_validate(inv: &Invocation) -> Result<String, CliError> {
 }
 
 /// Applies `--duration-ms` / `--seed` / `--profile` overrides to a parsed
-/// spec.
+/// spec, re-checking what depends on the duration.
 fn override_spec(spec: &ExperimentSpec, inv: &Invocation) -> Result<ExperimentSpec, CliError> {
     let mut spec = spec.clone();
     if let Some(d) = inv.duration()? {
         spec.duration = d;
+        spec.check_burst()
+            .map_err(|e| CliError::Input(format!("{}: {e}", inv.positional[0])))?;
     }
     if let Some(s) = inv.u64_flag("seed")? {
         spec.seed = s;

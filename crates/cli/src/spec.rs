@@ -581,6 +581,10 @@ pub struct ExperimentSpec {
     /// Engine self-profiler switch; never set by the spec file itself —
     /// the `--profile` flag turns it on after parsing.
     pub profile: bool,
+    /// Source lines of a flash crowd's `start_fraction` and
+    /// `length_fraction` (the `pattern` line for a defaulted key), for
+    /// [`ExperimentSpec::check_burst`].
+    pub(crate) burst_lines: [usize; 2],
 }
 
 /// Parses a routing-policy spelling shared by spec files and `--policy`.
@@ -686,7 +690,7 @@ impl ExperimentSpec {
         let (rate, _) = workload_table
             .positive("rate_per_sec")?
             .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `rate_per_sec`"))?;
-        let traffic = parse_traffic(workload_table, rate)?;
+        let (traffic, burst_lines) = parse_traffic(workload_table, rate)?;
 
         // [telemetry]
         let timeseries_interval = match find("telemetry") {
@@ -947,7 +951,7 @@ impl ExperimentSpec {
             }
         }
 
-        Ok(ExperimentSpec {
+        let spec = ExperimentSpec {
             name,
             kind,
             platform,
@@ -961,7 +965,45 @@ impl ExperimentSpec {
             network,
             trace,
             profile: false,
-        })
+            burst_lines,
+        };
+        spec.check_burst()?;
+        Ok(spec)
+    }
+
+    /// Rejects a flash crowd whose burst start or length, as a fraction of
+    /// the spec's duration, rounds to zero nanoseconds: the arrival schedule
+    /// cannot hold a zero-length segment. [`ExperimentSpec::parse`] runs it,
+    /// and it must run again whenever `duration` is overridden.
+    ///
+    /// # Errors
+    ///
+    /// A [`SpecError`] on the offending key's line.
+    pub fn check_burst(&self) -> Result<(), SpecError> {
+        let TrafficPattern::FlashCrowd {
+            start_fraction,
+            length_fraction,
+            ..
+        } = self.traffic
+        else {
+            return Ok(());
+        };
+        let keys = [
+            ("start_fraction", start_fraction),
+            ("length_fraction", length_fraction),
+        ];
+        for ((key, fraction), line) in keys.into_iter().zip(self.burst_lines) {
+            if self.duration.mul_f64(fraction).is_zero() {
+                return Err(SpecError::at(
+                    line,
+                    format!(
+                        "`{key}` = {fraction:?} of a {} ns run rounds to zero nanoseconds",
+                        self.duration.as_nanos()
+                    ),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1085,7 +1127,9 @@ fn parse_network(t: &Table) -> Result<NetworkConfig, SpecError> {
     Ok(config)
 }
 
-fn parse_traffic(table: &Table, rate: f64) -> Result<TrafficPattern, SpecError> {
+/// The traffic pattern plus, for a flash crowd, the lines of its two
+/// fraction keys (see [`ExperimentSpec::check_burst`]).
+fn parse_traffic(table: &Table, rate: f64) -> Result<(TrafficPattern, [usize; 2]), SpecError> {
     let pattern = table.str("pattern")?;
     let (pattern_name, pattern_line) = match &pattern {
         None => ("constant", table.line),
@@ -1110,7 +1154,10 @@ fn parse_traffic(table: &Table, rate: f64) -> Result<TrafficPattern, SpecError> 
             ] {
                 reject(key)?;
             }
-            Ok(TrafficPattern::Constant { rate_per_sec: rate })
+            Ok((
+                TrafficPattern::Constant { rate_per_sec: rate },
+                [pattern_line; 2],
+            ))
         }
         "diurnal" => {
             for key in ["peak_multiplier", "start_fraction", "length_fraction"] {
@@ -1128,16 +1175,19 @@ fn parse_traffic(table: &Table, rate: f64) -> Result<TrafficPattern, SpecError> 
                     s
                 }
             };
-            Ok(TrafficPattern::Diurnal {
-                mean_rate_per_sec: rate,
-                swing,
-            })
+            Ok((
+                TrafficPattern::Diurnal {
+                    mean_rate_per_sec: rate,
+                    swing,
+                },
+                [pattern_line; 2],
+            ))
         }
         "flash-crowd" => {
             reject("swing")?;
-            let fraction = |key: &str, default: f64| -> Result<f64, SpecError> {
+            let fraction = |key: &str, default: f64| -> Result<(f64, usize), SpecError> {
                 match table.num(key)? {
-                    None => Ok(default),
+                    None => Ok((default, pattern_line)),
                     Some((v, line)) => {
                         if !(0.0..1.0).contains(&v) || v == 0.0 {
                             return Err(SpecError::at(
@@ -1145,20 +1195,36 @@ fn parse_traffic(table: &Table, rate: f64) -> Result<TrafficPattern, SpecError> 
                                 format!("`{key}` must be in (0, 1), got {v}"),
                             ));
                         }
-                        Ok(v)
+                        Ok((v, line))
                     }
                 }
             };
-            let peak = match table.positive("peak_multiplier")? {
-                None => 6.0,
-                Some((v, _)) => v,
-            };
-            Ok(TrafficPattern::FlashCrowd {
-                base_rate_per_sec: rate,
-                peak_multiplier: peak,
-                start_fraction: fraction("start_fraction", 0.4)?,
-                length_fraction: fraction("length_fraction", 0.2)?,
-            })
+            let (peak, peak_line) = table
+                .positive("peak_multiplier")?
+                .unwrap_or((6.0, pattern_line));
+            if peak < 1.0 {
+                return Err(SpecError::at(
+                    peak_line,
+                    format!("`peak_multiplier` must be >= 1, got {peak}"),
+                ));
+            }
+            if !(rate * peak).is_finite() {
+                return Err(SpecError::at(
+                    peak_line,
+                    format!("the burst rate `rate_per_sec` × {peak:?} overflows"),
+                ));
+            }
+            let (start_fraction, start_line) = fraction("start_fraction", 0.4)?;
+            let (length_fraction, length_line) = fraction("length_fraction", 0.2)?;
+            Ok((
+                TrafficPattern::FlashCrowd {
+                    base_rate_per_sec: rate,
+                    peak_multiplier: peak,
+                    start_fraction,
+                    length_fraction,
+                },
+                [start_line, length_line],
+            ))
         }
         other => Err(SpecError::at(
             pattern_line,

@@ -747,6 +747,58 @@ fn durations_outside_the_clock_fail_with_line_numbers() {
     }
 }
 
+/// A flash crowd whose burst start or length rounds to zero nanoseconds at
+/// the run's duration has no schedule to build: each is a line-numbered
+/// input error, never a panic — including when only the `--duration-ms`
+/// override makes the burst vanish.
+#[test]
+fn vanishing_flash_crowd_bursts_fail_with_line_numbers() {
+    let spec_text = |duration_ms: &str, key: &str, fraction: &str| {
+        format!(
+            "[experiment]\nkind = \"single\"\nduration_ms = {duration_ms}\n\n\
+             [workload]\nkind = \"memcached\"\nrate_per_sec = 20_000\n\
+             pattern = \"flash-crowd\"\n{key} = {fraction}\n"
+        )
+    };
+    let cases = [
+        ("2", "start_fraction", "1e-300", None),
+        ("2", "length_fraction", "1e-300", None),
+        ("200", "length_fraction", "1e-9", None),
+        // 1e-8 of 200 ms is 2 ns, but of the 1 ms override it is 0.01 ns.
+        ("200", "length_fraction", "1e-8", Some("1")),
+        ("200", "start_fraction", "1e-8", Some("1")),
+    ];
+    for (duration_ms, key, fraction, duration_override) in cases {
+        let spec = Scratch::new(&format!("burst-{key}-{fraction}.toml"));
+        spec.write(&spec_text(duration_ms, key, fraction));
+        let mut argv = vec!["run", spec.path()];
+        if let Some(ms) = duration_override {
+            assert!(execute(&args(&argv)).is_ok(), "{key} = {fraction}");
+            argv.extend(["--duration-ms", ms]);
+        }
+        let err = execute(&args(&argv)).unwrap_err();
+        let CliError::Input(message) = &err else {
+            panic!("expected input error, got {err:?}");
+        };
+        assert!(message.contains("line 9"), "{message}");
+        assert!(message.contains(key), "{message}");
+        assert!(message.contains("rounds to zero nanoseconds"), "{message}");
+        assert_eq!(err.exit_code(), 1);
+    }
+    // A burst below 1 × the base rate, or one that overflows it, is
+    // rejected on the `peak_multiplier` line.
+    for (rate, peak) in [("20_000", "0.5"), ("1e300", "1e300")] {
+        let spec = Scratch::new(&format!("burst-peak-{peak}.toml"));
+        spec.write(
+            &spec_text("2", "peak_multiplier", peak)
+                .replace("rate_per_sec = 20_000", &format!("rate_per_sec = {rate}")),
+        );
+        let err = execute(&args(&["run", spec.path()])).unwrap_err();
+        assert!(err.to_string().contains("line 9"), "{err}");
+        assert_eq!(err.exit_code(), 1);
+    }
+}
+
 #[test]
 fn vanishing_rates_finish_with_zero_requests() {
     // At 1e-300 requests/s the mean Poisson gap (1e309 ns) overflows: the
