@@ -23,7 +23,9 @@ use super::ServerEvent;
 /// [`ServerState::uncore`] after every transition so the scheduler can gate
 /// dispatch without reaching into controller internals. Its post-dispatch
 /// hook tracks package C-state residency after *every* simulation event,
-/// mirroring how the monolithic loop sampled the state after each handler.
+/// mirroring how the monolithic loop sampled the state after each handler,
+/// and keeps the node's bit in the host's awake set (see
+/// [`HasNode::set_awake`]).
 pub struct PackageController {
     node: usize,
     policy: PackagePolicy,
