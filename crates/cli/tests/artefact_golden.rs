@@ -9,6 +9,10 @@
 //! `apc-cli run <spec> --format json|csv --out <file>` on the specs beside
 //! them. Each is checked through stdout, `--out` and `--stream-out`, so
 //! the buffered and the streamed writer are both pinned to the same bytes.
+//!
+//! Every named scenario is pinned too: `<name>.json` is
+//! `apc-cli run <name> --duration-ms 2 --format json`, and `list.txt`,
+//! `list.json` and `list.csv` are `apc-cli list` in the three formats.
 
 use std::path::PathBuf;
 
@@ -17,23 +21,28 @@ use apc_cli::execute;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
-/// Runs `spec` (a file under `tests/golden/`) in `format` and returns the
-/// artefact as printed to stdout, written by `--out` and by `--stream-out`.
-fn render_three_ways(spec: &str, format: &str) -> [String; 3] {
-    let path = format!("{GOLDEN}/{spec}");
-    let run = |extra: &[&str]| {
-        let mut argv = vec![
-            "run".to_owned(),
-            path.clone(),
-            "--format".into(),
-            format.into(),
-        ];
-        argv.extend(extra.iter().map(|s| (*s).to_owned()));
-        execute(&argv).expect("golden spec runs")
+/// Runs `target` (a spec file under `tests/golden/` or a scenario name)
+/// with `extra` arguments in `format` and returns the artefact as printed
+/// to stdout and as written by each of the file flags in `ways`.
+fn render_ways(target: &str, format: &str, extra: &[&str], ways: &[&str]) -> Vec<String> {
+    let spec_path = format!("{GOLDEN}/{target}");
+    let target_arg = if target.ends_with(".toml") {
+        spec_path.as_str()
+    } else {
+        target
+    };
+    let run = |flags: &[&str]| {
+        let argv: Vec<String> = ["run", target_arg, "--format", format]
+            .iter()
+            .chain(extra)
+            .chain(flags)
+            .map(|s| (*s).to_owned())
+            .collect();
+        execute(&argv).expect("golden target runs")
     };
     let file = |flag: &str| {
         let path: PathBuf = std::env::temp_dir().join(format!(
-            "apc-golden-{}-{spec}{flag}.{format}",
+            "apc-golden-{}-{target}{flag}.{format}",
             std::process::id()
         ));
         let path_str = path.to_str().expect("temp paths are UTF-8");
@@ -42,15 +51,19 @@ fn render_three_ways(spec: &str, format: &str) -> [String; 3] {
         let _ = std::fs::remove_file(&path);
         text
     };
-    [run(&[]), file("--out"), file("--stream-out")]
+    let mut texts = vec![run(&[])];
+    texts.extend(ways.iter().map(|flag| file(flag)));
+    texts
 }
 
 fn assert_golden(spec: &str, format: &str, expected: &str) {
-    for (how, text) in ["stdout", "--out", "--stream-out"]
-        .iter()
-        .zip(render_three_ways(spec, format))
-    {
-        assert_eq!(text, expected, "{spec} --format {format} via {how}");
+    assert_golden_ways(spec, format, &[], &["--out", "--stream-out"], expected);
+}
+
+fn assert_golden_ways(target: &str, format: &str, extra: &[&str], ways: &[&str], expected: &str) {
+    let hows = std::iter::once(&"stdout").chain(ways);
+    for (how, text) in hows.zip(render_ways(target, format, extra, ways)) {
+        assert_eq!(text, expected, "{target} --format {format} via {how}");
     }
 }
 
@@ -120,4 +133,52 @@ fn power_aware_cluster_over_delayed_fabric_matches_golden_bytes() {
         .and_then(JsonValue::as_array)
         .expect("node runs");
     assert!(runs.iter().all(|r| r.get("timeseries").is_some()));
+}
+
+/// Every named scenario, in `apc-cli list` order.
+const NAMED: [&str; 9] = [
+    "diurnal",
+    "flash-crowd",
+    "heterogeneous",
+    "low-load-sweep",
+    "cluster-8-mid",
+    "cluster-8-trough",
+    "cluster-16-kafka",
+    "mesh-8-fanout4",
+    "mesh-16-memcached",
+];
+
+fn golden_text(file: &str) -> String {
+    std::fs::read_to_string(format!("{GOLDEN}/{file}")).expect("golden file present")
+}
+
+#[test]
+fn named_scenarios_match_golden_bytes() {
+    for name in NAMED {
+        let expected = golden_text(&format!("{name}.json"));
+        assert_golden_ways(name, "json", &["--duration-ms", "2"], &["--out"], &expected);
+    }
+}
+
+#[test]
+fn list_matches_golden_bytes() {
+    for (format, file) in [
+        ("table", "list.txt"),
+        ("json", "list.json"),
+        ("csv", "list.csv"),
+    ] {
+        let argv: Vec<String> = ["list", "--format", format]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+        let text = execute(&argv).expect("list runs");
+        assert_eq!(text, golden_text(file), "list --format {format}");
+    }
+    let csv = golden_text("list.csv");
+    let names: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').next().unwrap())
+        .collect();
+    assert_eq!(names, NAMED);
 }
