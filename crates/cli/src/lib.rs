@@ -6,7 +6,7 @@
 //! recompile per scenario.
 //!
 //! ```text
-//! apc-cli list                                # named scenario libraries
+//! apc-cli list                                # the named scenarios
 //! apc-cli run examples/specs/smoke.toml       # run a spec file
 //! apc-cli run cluster-8-mid --format json     # run a named scenario
 //! apc-cli sweep examples/specs/low_load_sweep.toml --format csv --out sweep.csv
@@ -14,11 +14,14 @@
 //! apc-cli validate out.json                   # round-trip the JSON export
 //! ```
 //!
-//! Subcommands: `list` (the built-in scenario and cluster-scenario
-//! libraries), `run` (a spec file or a named scenario), `sweep` (a spec
-//! with a `[sweep]` table: cartesian rates × platforms), `cluster` (a
-//! cluster spec or named cluster scenario) and `validate` (parse a JSON
-//! export with the bundled parser).
+//! Subcommands: `list` (the named scenarios), `run` (a spec file or a named
+//! scenario), `sweep` (a spec with a `[sweep]` table: cartesian rates ×
+//! platforms), `cluster` (a cluster spec or named cluster scenario) and
+//! `validate` (parse a JSON export with the bundled parser).
+//!
+//! A named scenario is a spec file bundled into the binary from
+//! `scenarios/<name>.toml` ([`SCENARIOS`]). `run <name>` parses it, applies
+//! `--platform`/`--policy` and then takes the same path as a spec file.
 //!
 //! All execution goes through the `apc-server` run pool, so results are
 //! bit-identical whatever `--parallelism` says, and every JSON/CSV artefact
@@ -40,11 +43,10 @@ use apc_analysis::export::{chrome_trace_json, JsonValue};
 use apc_analysis::report::TextTable;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::fleet::Fleet;
-use apc_server::scenario::{ChainScenario, ClusterScenario, Scenario};
 use apc_sim::SimDuration;
 
 use crate::checkpoint::{merge_checkpoints, Checkpoint, CheckpointPoint};
-use crate::runner::{plan_spec, sweep_grid, Outcome, OutputFormat};
+use crate::runner::{chain_graph, plan_spec, sweep_grid, Outcome, OutputFormat};
 use crate::spec::{parse_policy, ExperimentSpec, PlatformKind, SpecKind};
 
 /// A CLI failure: what went wrong and which exit code it maps to.
@@ -86,7 +88,7 @@ pub const USAGE: &str = "\
 usage: apc-cli <command> [options]
 
 commands:
-  list                      the named scenario / cluster / chain libraries
+  list                      the named scenarios (bundled spec files)
   run <spec|name>           run a spec file or a named scenario
                             (fleet, cluster or fan-out chain)
   sweep <spec>              run a spec's [sweep] grid (rates x platforms)
@@ -100,7 +102,7 @@ options:
   --out <path>              write the output to a file instead of stdout
   --stream-out <path>       write json/csv output to a file incrementally,
                             flushing each result as it finishes — the final
-                            file is byte-identical to --out (spec files)
+                            file is byte-identical to --out
   --shard <i/n>             with `sweep --out <path>`: run only grid points
                             with index ≡ i (mod n) and write a checkpoint
                             for `merge` instead of results
@@ -108,7 +110,7 @@ options:
   --trace-out <path>        write sampled request spans as Chrome trace
                             JSON (needs a spec with a [trace] table)
   --profile                 attach the engine self-profiler report to the
-                            results (spec files only; shown in JSON output)
+                            results (shown in JSON output)
   --platform <name>         cshallow|cdeep|cpc1a (named scenarios; default cpc1a)
   --policy <name>           random|round-robin|jsq|power-aware
                             (cluster and chain scenarios)
@@ -116,6 +118,41 @@ options:
   --seed <n>                override the root seed
   --parallelism <n>         run-pool worker count (default: host cores; wins
                             over a spec's `parallelism` key)";
+
+/// Builds [`SCENARIOS`], bundling `scenarios/<name>.toml` for each name.
+macro_rules! bundled {
+    ($($name:literal: $description:literal,)*) => {
+        [$(($name, $description, include_str!(concat!("../scenarios/", $name, ".toml"))),)*]
+    };
+}
+
+/// The named scenarios, in `list` order: name, one-line description and the
+/// bundled spec text.
+pub const SCENARIOS: [(&str, &str, &str); 9] = bundled! {
+    "diurnal": "memcached fleet under a compressed day/night load curve",
+    "flash-crowd": "quiet memcached fleet hit by a sudden 6x traffic spike",
+    "heterogeneous": "mixed memcached/kafka/mysql fleet at paper operating points",
+    "low-load-sweep": "memcached servers spanning the paper's low-load region",
+    "cluster-8-mid": "8-node memcached cluster at the mid operating point",
+    "cluster-8-trough": "8-node memcached cluster at trough load",
+    "cluster-16-kafka": "16-node kafka cluster under moderate streaming load",
+    "mesh-8-fanout4": "8-node memcached scatter-gather, fan-out 4, wait-for-all join",
+    "mesh-16-memcached": "16-node memcached scatter-gather, fan-out 8, straggler-bound tail",
+};
+
+/// The parsed spec of the named scenario `name`, or `None` when no bundled
+/// scenario has that name.
+///
+/// ```
+/// let spec = apc_cli::scenario("cluster-8-mid").unwrap();
+/// assert_eq!(spec.name, "cluster-8-mid");
+/// assert!(apc_cli::scenario("no-such-scenario").is_none());
+/// ```
+#[must_use]
+pub fn scenario(name: &str) -> Option<ExperimentSpec> {
+    let (_, _, text) = SCENARIOS.iter().find(|s| s.0 == name)?;
+    Some(ExperimentSpec::parse(text).expect("bundled scenario specs parse"))
+}
 
 /// The flags `run` and `cluster` accept.
 const RUN_FLAGS: [&str; 11] = [
@@ -311,21 +348,27 @@ impl Invocation {
             Some(0) => Err(CliError::Usage(
                 "`--duration-ms` must be at least 1".to_owned(),
             )),
-            Some(ms) => Ok(Some(SimDuration::from_millis(ms))),
+            Some(ms) => ms
+                .checked_mul(1_000_000)
+                .map(|ns| Some(SimDuration::from_nanos(ns)))
+                .ok_or_else(|| {
+                    CliError::Usage(format!(
+                        "`--duration-ms` {ms} overflows the 64-bit nanosecond clock"
+                    ))
+                }),
         }
     }
 }
 
-/// How a `run`/`cluster` target resolves.
-enum Target {
-    Spec(ExperimentSpec),
-    Scenario(Scenario),
-    ClusterScenario(ClusterScenario),
-    ChainScenario(ChainScenario),
+/// A resolved `run`/`cluster`/`sweep` target: a parsed spec, and whether
+/// it is a named scenario's (whose spec name is the scenario name).
+struct Target {
+    spec: ExperimentSpec,
+    named: bool,
 }
 
 /// Resolves a positional target: a readable file parses as a spec; anything
-/// else must name a library (cluster-/chain-)scenario.
+/// else must name a bundled scenario.
 fn resolve_target(arg: &str) -> Result<Target, CliError> {
     let looks_like_path = arg.contains('/')
         || arg.contains('\\')
@@ -344,161 +387,77 @@ fn resolve_target(arg: &str) -> Result<Target, CliError> {
                 CliError::Input(message)
             }
         })?;
-        return Ok(Target::Spec(spec));
+        return Ok(Target { spec, named: false });
     }
-    if let Some(s) = Scenario::library().into_iter().find(|s| s.name == arg) {
-        return Ok(Target::Scenario(s));
-    }
-    if let Some(s) = ClusterScenario::library()
-        .into_iter()
-        .find(|s| s.name == arg)
-    {
-        return Ok(Target::ClusterScenario(s));
-    }
-    if let Some(s) = ChainScenario::library().into_iter().find(|s| s.name == arg) {
-        return Ok(Target::ChainScenario(s));
-    }
-    let known: Vec<&str> = Scenario::library()
-        .iter()
-        .map(|s| s.name)
-        .chain(ClusterScenario::library().iter().map(|s| s.name))
-        .chain(ChainScenario::library().iter().map(|s| s.name))
-        .collect();
-    Err(CliError::Input(format!(
-        "unknown scenario `{arg}` (not a spec file; known scenarios: {})",
-        known.join(", ")
-    )))
+    let spec = scenario(arg).ok_or_else(|| {
+        let known: Vec<&str> = SCENARIOS.iter().map(|s| s.0).collect();
+        CliError::Input(format!(
+            "unknown scenario `{arg}` (not a spec file; known scenarios: {})",
+            known.join(", ")
+        ))
+    })?;
+    Ok(Target { spec, named: true })
 }
 
-/// Runs a named fleet scenario under the invocation's platform (default
-/// CPC1A), duration, seed and parallelism overrides.
-fn run_scenario(inv: &Invocation, scenario: &Scenario) -> Result<Outcome, CliError> {
-    if inv.flag("policy").is_some() {
-        return Err(CliError::Usage(format!(
-            "conflicting flags: `--policy` does not apply to fleet scenario `{}`",
-            scenario.name
-        )));
+/// Applies `--platform` and `--policy` to a named scenario's spec and titles
+/// it `<name> (<platform>[, <policy>])`; spec files own both and reject them.
+fn apply_target_flags(inv: &Invocation, target: Target) -> Result<ExperimentSpec, CliError> {
+    let Target { mut spec, named } = target;
+    if !named {
+        if inv.flag("platform").is_some() {
+            return Err(CliError::Usage(
+                "conflicting flags: `--platform` applies to named scenarios; \
+                 spec files declare their platform in [platform]"
+                    .to_owned(),
+            ));
+        }
+        if inv.flag("policy").is_some() {
+            return Err(CliError::Usage(
+                "conflicting flags: `--policy` applies to named cluster/chain scenarios; \
+                 spec files declare their policy in [cluster]/[chain]"
+                    .to_owned(),
+            ));
+        }
+        return Ok(spec);
     }
-    let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
-    let scenario = override_scenario(
-        inv,
-        scenario.clone(),
-        Scenario::with_duration,
-        Scenario::with_seed,
-    )?;
-    let mut fleet = scenario.build_fleet(&platform.config());
-    if let Some(workers) = inv.parallelism()? {
-        fleet = fleet.with_parallelism(workers);
+    let name = std::mem::take(&mut spec.name);
+    if let Some(platform) = inv.platform()? {
+        spec.platform = platform;
     }
-    Ok(Outcome::Runs {
-        name: format!("{} ({})", scenario.name, platform.name()),
-        labels: (0..scenario.servers())
-            .map(|i| format!("server {i}"))
-            .collect(),
-        fleet: fleet.run().into(),
-    })
+    spec.name = match &mut spec.kind {
+        SpecKind::Cluster { policy, .. } | SpecKind::Chain { policy, .. } => {
+            if let Some(p) = inv.policy()? {
+                *policy = p;
+            }
+            format!("{name} ({}, {})", spec.platform.name(), policy.name())
+        }
+        _ if inv.flag("policy").is_some() => {
+            return Err(CliError::Usage(format!(
+                "conflicting flags: `--policy` does not apply to {} scenario `{name}`",
+                spec.kind.name()
+            )))
+        }
+        _ => format!("{name} ({})", spec.platform.name()),
+    };
+    Ok(spec)
 }
 
-/// Runs a named cluster scenario once under the invocation's platform
-/// (default CPC1A), policy (default power-aware), duration and seed
-/// overrides.
-fn run_cluster_scenario(inv: &Invocation, scenario: &ClusterScenario) -> Result<Outcome, CliError> {
-    let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
-    let policy = inv.policy()?.unwrap_or(RoutingPolicyKind::PowerAware);
-    let scenario = override_scenario(
-        inv,
-        scenario.clone(),
-        ClusterScenario::with_duration,
-        ClusterScenario::with_seed,
-    )?;
-    Ok(Outcome::Clusters {
-        name: format!("{} ({}, {})", scenario.name, platform.name(), policy.name()),
-        results: vec![scenario.run(&platform.config(), policy)],
-    })
-}
-
-/// Runs a named chain scenario once (see [`run_cluster_scenario`]; the
-/// default policy is join-shortest-queue).
-fn run_chain_scenario(inv: &Invocation, scenario: &ChainScenario) -> Result<Outcome, CliError> {
-    let platform = inv.platform()?.unwrap_or(PlatformKind::Cpc1a);
-    let policy = inv
-        .policy()?
-        .unwrap_or(RoutingPolicyKind::JoinShortestQueue);
-    let scenario = override_scenario(
-        inv,
-        scenario.clone(),
-        ChainScenario::with_duration,
-        ChainScenario::with_seed,
-    )?;
-    Ok(Outcome::Chains {
-        name: format!("{} ({}, {})", scenario.name, platform.name(), policy.name()),
-        results: vec![scenario.run(&platform.config(), policy)],
-    })
-}
-
-/// Applies `--duration-ms` / `--seed` to a named scenario and validates
-/// the rest of the flag set: named scenarios record no time series, spans
-/// or profile and render whole, and `--parallelism` must parse (a single
-/// cluster or chain is one event loop, so only fleet scenarios have members
-/// to spread over it).
-fn override_scenario<S>(
-    inv: &Invocation,
-    mut scenario: S,
-    with_duration: fn(S, SimDuration) -> S,
-    with_seed: fn(S, u64) -> S,
-) -> Result<S, CliError> {
-    check_timeseries_flag(inv, false)?;
-    check_observability_flags(inv, false, false)?;
-    if let Some(d) = inv.duration()? {
-        scenario = with_duration(scenario, d);
-    }
-    if let Some(seed) = inv.u64_flag("seed")? {
-        scenario = with_seed(scenario, seed);
-    }
-    inv.parallelism()?;
-    Ok(scenario)
-}
-
-/// Rejects `--timeseries-out` up front when nothing will record a series —
-/// before the (possibly long) simulation runs and before `--out` is
-/// written, so a usage error never leaves partial outputs behind.
-fn check_timeseries_flag(inv: &Invocation, series_enabled: bool) -> Result<(), CliError> {
-    if inv.flag("timeseries-out").is_some() && !series_enabled {
+/// Rejects `--timeseries-out` / `--trace-out` up front when `spec` records
+/// no time series / request spans — before the (possibly long) simulation
+/// runs and before `--out` is written, so a usage error never leaves
+/// partial outputs behind.
+fn check_recording_flags(inv: &Invocation, spec: &ExperimentSpec) -> Result<(), CliError> {
+    if inv.flag("timeseries-out").is_some() && spec.timeseries_interval.is_none() {
         return Err(CliError::Usage(
             "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
-             (named library scenarios never record a time series)"
+             (named scenarios never record a time series)"
                 .to_owned(),
         ));
     }
-    Ok(())
-}
-
-/// Rejects `--trace-out` / `--profile` up front when they cannot apply —
-/// before the (possibly long) simulation runs and before `--out` is
-/// written, same stance as [`check_timeseries_flag`].
-fn check_observability_flags(
-    inv: &Invocation,
-    trace_enabled: bool,
-    spec_target: bool,
-) -> Result<(), CliError> {
-    if inv.flag("trace-out").is_some() && !trace_enabled {
+    if inv.flag("trace-out").is_some() && spec.trace.is_none() {
         return Err(CliError::Usage(
             "conflicting flags: `--trace-out` needs a spec with a [trace] table \
-             (named library scenarios never record request spans)"
-                .to_owned(),
-        ));
-    }
-    if inv.switch("profile") && !spec_target {
-        return Err(CliError::Usage(
-            "conflicting flags: `--profile` applies to spec files \
-             (named library scenarios run without the self-profiler)"
-                .to_owned(),
-        ));
-    }
-    if inv.flag("stream-out").is_some() && !spec_target {
-        return Err(CliError::Usage(
-            "conflicting flags: `--stream-out` applies to spec files \
-             (named library scenarios render their output whole; use `--out`)"
+             (named scenarios never record request spans)"
                 .to_owned(),
         ));
     }
@@ -551,28 +510,37 @@ fn finish_streamed(
     Ok(stdout)
 }
 
-/// The deduplicated `+`-joined workload names of a fleet scenario.
-fn scenario_workloads(s: &Scenario) -> String {
-    let mut workloads: Vec<&str> = s.groups.iter().map(|g| g.workload.name()).collect();
-    workloads.dedup();
-    workloads.join("+")
+/// A named scenario's `list` columns: its server count and workloads.
+fn servers_and_workloads(spec: &ExperimentSpec) -> (usize, String) {
+    match &spec.kind {
+        SpecKind::Fleet { groups } => {
+            let mut workloads: Vec<&str> = groups.iter().map(|g| g.workload.name()).collect();
+            workloads.dedup();
+            (groups.iter().map(|g| g.servers).sum(), workloads.join("+"))
+        }
+        SpecKind::Chain {
+            nodes,
+            fanout,
+            frontend_service,
+            leaf_service,
+            ..
+        } => {
+            let graph = chain_graph(spec.workload, *fanout, *frontend_service, *leaf_service);
+            (*nodes, graph.describe())
+        }
+        SpecKind::Cluster { nodes, .. } => (*nodes, spec.workload.name().to_owned()),
+        SpecKind::Single | SpecKind::Sweep { .. } => (1, spec.workload.name().to_owned()),
+    }
 }
 
 fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
     const COLUMNS: [&str; 5] = ["name", "kind", "servers", "workloads", "description"];
-    // One row per library scenario, in the COLUMNS order.
-    let fleets = Scenario::library().into_iter().map(|s| {
-        let workloads = scenario_workloads(&s);
-        (s.name, "fleet", s.servers(), workloads, s.description)
+    // One row per named scenario, in the COLUMNS order.
+    let rows = SCENARIOS.iter().map(|&(name, description, _)| {
+        let spec = scenario(name).expect("listed scenario");
+        let (servers, workloads) = servers_and_workloads(&spec);
+        (name, spec.kind.name(), servers, workloads, description)
     });
-    let clusters = ClusterScenario::library().into_iter().map(|s| {
-        let workloads = s.workload.name().to_owned();
-        (s.name, "cluster", s.nodes, workloads, s.description)
-    });
-    let chains = ChainScenario::library()
-        .into_iter()
-        .map(|s| (s.name, "chain", s.nodes, s.graph.describe(), s.description));
-    let rows = fleets.chain(clusters).chain(chains);
     Ok(match inv.format()? {
         OutputFormat::Table => {
             let mut table = TextTable::new("scenario libraries", &COLUMNS);
@@ -616,56 +584,35 @@ fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_run(inv: &Invocation) -> Result<String, CliError> {
-    let target = resolve_target(&inv.positional[0])?;
-    let outcome = match &target {
-        Target::Spec(spec) => return run_spec(inv, spec),
-        Target::Scenario(s) => run_scenario(inv, s)?,
-        Target::ClusterScenario(s) => run_cluster_scenario(inv, s)?,
-        Target::ChainScenario(s) => run_chain_scenario(inv, s)?,
-    };
-    finish(inv, &outcome)
+    run_spec(inv, resolve_target(&inv.positional[0])?)
 }
 
 fn cmd_sweep(inv: &Invocation) -> Result<String, CliError> {
     let target = resolve_target(&inv.positional[0])?;
-    let Target::Spec(spec) = target else {
+    if target.named {
         return Err(CliError::Usage(
             "`sweep` needs a spec file with a [sweep] table".to_owned(),
         ));
-    };
-    if !matches!(spec.kind, SpecKind::Sweep { .. }) {
+    }
+    if !matches!(target.spec.kind, SpecKind::Sweep { .. }) {
         return Err(CliError::Input(format!(
             "`{}` is not a sweep spec (kind = \"sweep\" with a [sweep] table)",
             inv.positional[0]
         )));
     }
     if let Some(shard) = inv.flag("shard") {
-        return cmd_sweep_shard(inv, &spec, shard);
+        return cmd_sweep_shard(inv, &target.spec, shard);
     }
-    run_spec(inv, &spec)
+    run_spec(inv, target)
 }
 
-/// The spec-file path of `run`, `sweep` and `cluster`: validates the flag
-/// set, applies the overrides, then streams (`--stream-out`) or runs and
+/// The one execution path of `run`, `sweep` and `cluster`: applies the
+/// target's flags and overrides, then streams (`--stream-out`) or runs and
 /// renders the spec.
-fn run_spec(inv: &Invocation, spec: &ExperimentSpec) -> Result<String, CliError> {
-    if inv.flag("platform").is_some() {
-        return Err(CliError::Usage(
-            "conflicting flags: `--platform` applies to named scenarios; \
-             spec files declare their platform in [platform]"
-                .to_owned(),
-        ));
-    }
-    if inv.flag("policy").is_some() {
-        return Err(CliError::Usage(
-            "conflicting flags: `--policy` applies to named cluster/chain scenarios; \
-             spec files declare their policy in [cluster]/[chain]"
-                .to_owned(),
-        ));
-    }
-    check_timeseries_flag(inv, spec.timeseries_interval.is_some())?;
-    check_observability_flags(inv, spec.trace.is_some(), true)?;
-    let spec = override_spec(spec, inv)?;
+fn run_spec(inv: &Invocation, target: Target) -> Result<String, CliError> {
+    let spec = apply_target_flags(inv, target)?;
+    check_recording_flags(inv, &spec)?;
+    let spec = override_spec(&spec, inv)?;
     if let Some((path, format)) = stream_request(inv)? {
         return finish_streamed(inv, &spec, path, format);
     }
@@ -766,31 +713,16 @@ fn cmd_merge(inv: &Invocation) -> Result<String, CliError> {
 
 fn cmd_cluster(inv: &Invocation) -> Result<String, CliError> {
     let target = resolve_target(&inv.positional[0])?;
-    let outcome = match &target {
-        Target::Spec(spec) => {
-            let SpecKind::Cluster { .. } = spec.kind else {
-                return Err(CliError::Input(format!(
-                    "`{}` is not a cluster spec (kind = \"cluster\" with a [cluster] table)",
-                    inv.positional[0]
-                )));
-            };
-            return run_spec(inv, spec);
-        }
-        Target::Scenario(s) => {
-            return Err(CliError::Input(format!(
-                "`{}` is a fleet scenario; use `apc-cli run {}`",
-                s.name, s.name
-            )))
-        }
-        Target::ChainScenario(s) => {
-            return Err(CliError::Input(format!(
-                "`{}` is a chain scenario; use `apc-cli run {}`",
-                s.name, s.name
-            )))
-        }
-        Target::ClusterScenario(s) => run_cluster_scenario(inv, s)?,
-    };
-    finish(inv, &outcome)
+    if !matches!(target.spec.kind, SpecKind::Cluster { .. }) {
+        let arg = &inv.positional[0];
+        return Err(CliError::Input(if target.named {
+            let kind = target.spec.kind.name();
+            format!("`{arg}` is a {kind} scenario; use `apc-cli run {arg}`")
+        } else {
+            format!("`{arg}` is not a cluster spec (kind = \"cluster\" with a [cluster] table)")
+        }));
+    }
+    run_spec(inv, target)
 }
 
 fn cmd_validate(inv: &Invocation) -> Result<String, CliError> {

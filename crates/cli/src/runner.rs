@@ -21,12 +21,11 @@ use apc_server::cluster::{ClusterFleet, ClusterMember, ClusterResult};
 use apc_server::config::ServerConfig;
 use apc_server::fleet::{Fleet, FleetMember, FleetResult, Member, Pool};
 use apc_server::result::RunResult;
-use apc_server::scenario::{TrafficPattern, WorkloadKind};
 use apc_sim::SimDuration;
 use apc_trace::TraceLog;
 use apc_workloads::chain::TierService;
 
-use crate::spec::{ExperimentSpec, PlatformKind, SpecKind};
+use crate::spec::{ExperimentSpec, PlatformKind, SpecKind, TrafficPattern, WorkloadKind};
 
 /// The output format of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,21 +91,10 @@ pub enum Outcome {
     },
 }
 
-/// The leaf-tier service spec a workload kind implies for chain
-/// experiments: the same calibration as the workload's dominant request
-/// class in the single-server mixes.
-#[must_use]
-pub fn leaf_service_for(workload: WorkloadKind) -> TierService {
-    match workload {
-        WorkloadKind::MemcachedEtc => TierService::memcached_leaf(),
-        WorkloadKind::Kafka => TierService::kafka_leaf(),
-        WorkloadKind::MysqlOltp => TierService::mysql_leaf(),
-    }
-}
-
 /// Builds the [`RequestGraph`] a chain spec describes: a frontend tier
-/// fanning out to `fanout` leaves of the workload's calibration, with
-/// optional per-tier mean-service overrides.
+/// fanning out to `fanout` leaves calibrated like the workload's dominant
+/// request class in the single-server mixes, with optional per-tier
+/// mean-service overrides.
 #[must_use]
 pub fn chain_graph(
     workload: WorkloadKind,
@@ -118,7 +106,11 @@ pub fn chain_graph(
     if let Some(mean) = frontend_service {
         frontend = frontend.with_mean_service(mean);
     }
-    let mut leaf = leaf_service_for(workload);
+    let mut leaf = match workload {
+        WorkloadKind::MemcachedEtc => TierService::memcached_leaf(),
+        WorkloadKind::Kafka => TierService::kafka_leaf(),
+        WorkloadKind::MysqlOltp => TierService::mysql_leaf(),
+    };
     if let Some(mean) = leaf_service {
         leaf = leaf.with_mean_service(mean);
     }
@@ -247,15 +239,12 @@ pub fn sweep_grid(spec: &ExperimentSpec) -> Option<Vec<(String, FleetMember)>> {
     let mut grid = Vec::new();
     for &platform in platforms {
         for &rate in rates {
-            let sweep_spec = ExperimentSpec {
-                traffic: TrafficPattern::Constant { rate_per_sec: rate },
-                ..spec.clone()
-            };
             // Every grid point reuses the root seed: points differ
             // only along the declared axes, maximising comparability.
+            let traffic = TrafficPattern::Constant { rate_per_sec: rate };
             grid.push((
                 format!("{}@{rate}", platform.name()),
-                spec_member(&sweep_spec, platform, spec.seed),
+                spec_member(spec, platform, spec.seed, spec.workload, &traffic),
             ));
         }
     }
@@ -276,13 +265,19 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
     let (labels, members): (Vec<String>, Vec<FleetMember>) = match &spec.kind {
         SpecKind::Single => (0..spec.repeats)
             .map(|i| {
-                let member = spec_member(spec, spec.platform, repeat_seed(spec, i));
+                let seed = repeat_seed(spec, i);
+                let member = spec_member(spec, spec.platform, seed, spec.workload, &spec.traffic);
                 (format!("run {i}"), member)
             })
             .unzip(),
-        SpecKind::Fleet { servers } => (0..*servers)
-            .map(|i| {
-                let member = spec_member(spec, spec.platform, Fleet::member_seed(spec.seed, i));
+        // Member seeds fork from the root over the global member index.
+        SpecKind::Fleet { groups } => groups
+            .iter()
+            .flat_map(|g| std::iter::repeat(g).take(g.servers))
+            .enumerate()
+            .map(|(i, g)| {
+                let seed = Fleet::member_seed(spec.seed, i);
+                let member = spec_member(spec, spec.platform, seed, g.workload, &g.traffic);
                 (format!("server {i}"), member)
             })
             .unzip(),
@@ -369,15 +364,18 @@ fn repeat_seed(spec: &ExperimentSpec, i: usize) -> u64 {
     }
 }
 
-/// Builds one fleet member for `spec` on `platform` under `seed`.
-fn spec_member(spec: &ExperimentSpec, platform: PlatformKind, seed: u64) -> FleetMember {
+/// Builds one fleet member for `spec` on `platform` under `seed`, serving
+/// `workload` under `traffic`.
+fn spec_member(
+    spec: &ExperimentSpec,
+    platform: PlatformKind,
+    seed: u64,
+    workload: WorkloadKind,
+    traffic: &TrafficPattern,
+) -> FleetMember {
     let config = spec_config(spec, platform, seed);
-    let mut member = FleetMember::new(
-        config,
-        spec.workload.spec(),
-        spec.traffic.mean_rate_per_sec(),
-    );
-    if let Some(arrivals) = spec.traffic.arrival_process(spec.duration) {
+    let mut member = FleetMember::new(config, workload.spec(), traffic.mean_rate_per_sec());
+    if let Some(arrivals) = traffic.arrival_process(spec.duration) {
         member = member.with_arrival_process(arrivals);
     }
     member

@@ -35,6 +35,14 @@
 //! sample_interval_us = 100  # enables the time-series sink
 //! ```
 //!
+//! A `kind = "fleet"` experiment swaps `[cluster]` for `[fleet] servers`.
+//! Its member groups come from `servers`, `[workload] kind` and
+//! `[workload] rate_per_sec`, each a scalar (for every group) or an array
+//! of equal length (one item per group; no other kind takes arrays), e.g.
+//! `kind = ["memcached", "kafka"]`, `rate_per_sec = [25_000, 8_000]`,
+//! `servers = [4, 2]`. The pattern is shared, and member `i`, counted
+//! across groups, gets seed `Fleet::member_seed(seed, i)`.
+//!
 //! A `kind = "chain"` experiment swaps `[cluster]` for a `[chain]` table
 //! describing the multi-tier fan-out executed across the cluster
 //! (`rate_per_sec` then counts *root chains* per second):
@@ -87,9 +95,10 @@
 use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::config::ServerConfig;
-use apc_server::scenario::{TrafficPattern, WorkloadKind};
 use apc_sim::SimDuration;
 use apc_trace::TraceConfig;
+use apc_workloads::arrival::{ArrivalProcess, PiecewiseRateArrivals, SinusoidArrivals};
+use apc_workloads::spec::WorkloadSpec;
 
 /// A spec parse/validation error with the 1-based line it occurred on
 /// (line 0 marks document-level problems, e.g. a missing table).
@@ -195,68 +204,95 @@ impl Table {
         Some(e)
     }
 
+    /// `key`'s value through `convert`, with its line.
+    fn get<T>(&self, key: &str, convert: Convert<T>) -> Result<Option<(T, usize)>, SpecError> {
+        self.entry(key)
+            .map(|e| Ok((convert(key, &e.value, e.line)?, e.line)))
+            .transpose()
+    }
+
     fn str(&self, key: &str) -> Result<Option<(String, usize)>, SpecError> {
-        match self.entry(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                TomlValue::Str(s) => Ok(Some((s.clone(), e.line))),
-                other => Err(SpecError::at(
-                    e.line,
-                    format!("`{key}` must be a string, got a {}", other.type_name()),
-                )),
-            },
-        }
+        self.get(key, as_str)
     }
 
     fn num(&self, key: &str) -> Result<Option<(f64, usize)>, SpecError> {
-        match self.entry(key) {
-            None => Ok(None),
-            Some(e) => match e.value.as_f64() {
-                Some(n) => Ok(Some((n, e.line))),
-                None => Err(SpecError::at(
-                    e.line,
-                    format!("`{key}` must be a number, got a {}", e.value.type_name()),
-                )),
-            },
-        }
+        self.get(key, as_num)
     }
 
     /// An exact non-negative integer (full `u64` range, no float rounding).
     fn uint(&self, key: &str) -> Result<Option<(u64, usize)>, SpecError> {
-        match self.entry(key) {
-            None => Ok(None),
-            Some(e) => match e.value {
-                TomlValue::UInt(u) => Ok(Some((u, e.line))),
-                ref other => Err(SpecError::at(
-                    e.line,
-                    format!(
-                        "`{key}` must be a non-negative integer, got a {}",
-                        other.type_name()
-                    ),
-                )),
-            },
-        }
+        self.get(key, as_uint)
     }
 
     fn positive(&self, key: &str) -> Result<Option<(f64, usize)>, SpecError> {
-        match self.num(key)? {
-            Some((n, line)) if n > 0.0 => Ok(Some((n, line))),
-            Some((n, line)) => Err(SpecError::at(line, format!("`{key}` must be > 0, got {n}"))),
-            None => Ok(None),
-        }
+        self.get(key, as_positive)
     }
 
     fn count(&self, key: &str) -> Result<Option<(usize, usize)>, SpecError> {
-        // Counts size allocations and pool fan-outs, so an absurd value is
-        // a typo to reject loudly, not an instruction to OOM.
-        const MAX_COUNT: f64 = 100_000.0;
-        match self.positive(key)? {
-            Some((n, line)) if n.fract() == 0.0 && n <= MAX_COUNT => Ok(Some((n as usize, line))),
-            Some((n, line)) => Err(SpecError::at(
-                line,
-                format!("`{key}` must be an integer in 1..={MAX_COUNT}, got {n}"),
+        self.get(key, as_count)
+    }
+
+    /// `key` as a scalar or as a non-empty array, each item through
+    /// `convert`.
+    fn items<T>(
+        &self,
+        key: &'static str,
+        convert: Convert<T>,
+    ) -> Result<Option<PerGroup<T>>, SpecError> {
+        let Some(e) = self.entry(key) else {
+            return Ok(None);
+        };
+        let (items, array) = match &e.value {
+            TomlValue::Array(items) if items.is_empty() => {
+                return Err(SpecError::at(e.line, format!("`{key}` must not be empty")))
+            }
+            TomlValue::Array(items) => (
+                items
+                    .iter()
+                    .map(|v| convert(key, v, e.line))
+                    .collect::<Result<_, _>>()?,
+                true,
+            ),
+            v => (vec![convert(key, v, e.line)?], false),
+        };
+        Ok(Some(PerGroup {
+            key,
+            items,
+            line: e.line,
+            array,
+        }))
+    }
+
+    /// The items of the array `key`, with its line.
+    fn array<T>(
+        &self,
+        key: &'static str,
+        convert: Convert<T>,
+    ) -> Result<Option<(Vec<T>, usize)>, SpecError> {
+        match self.items(key, convert)? {
+            Some(v) if !v.array => Err(SpecError::at(v.line, format!("`{key}` must be an array"))),
+            v => Ok(v.map(|v| (v.items, v.line))),
+        }
+    }
+
+    /// `key` per fleet member group: an array gives one item per group and
+    /// is accepted only under `kind = "fleet"`; a scalar applies to every
+    /// group.
+    fn per_group<T>(
+        &self,
+        key: &'static str,
+        kind: &str,
+        convert: Convert<T>,
+    ) -> Result<Option<PerGroup<T>>, SpecError> {
+        match self.items(key, convert)? {
+            Some(v) if v.array && kind != "fleet" => Err(SpecError::at(
+                v.line,
+                format!(
+                    "`{key}` is an array, which only a fleet's member groups accept \
+                     (kind = \"{kind}\")"
+                ),
             )),
-            None => Ok(None),
+            v => Ok(v),
         }
     }
 
@@ -294,6 +330,100 @@ impl Table {
                 format!("unknown key `{}` in [{}]", e.key, self.name),
             )
         })
+    }
+}
+
+/// Counts size allocations and pool fan-outs, so an absurd value is a typo
+/// to reject loudly, not an instruction to OOM.
+const MAX_COUNT: usize = 100_000;
+
+/// Converts the value of `key` on `line` to a typed spec value.
+type Convert<T> = fn(&str, &TomlValue, usize) -> Result<T, SpecError>;
+
+fn type_error(key: &str, wanted: &str, value: &TomlValue, line: usize) -> SpecError {
+    SpecError::at(
+        line,
+        format!("`{key}` must be {wanted}, got a {}", value.type_name()),
+    )
+}
+
+fn as_str(key: &str, value: &TomlValue, line: usize) -> Result<String, SpecError> {
+    match value {
+        TomlValue::Str(s) => Ok(s.clone()),
+        other => Err(type_error(key, "a string", other, line)),
+    }
+}
+
+fn as_num(key: &str, value: &TomlValue, line: usize) -> Result<f64, SpecError> {
+    value
+        .as_f64()
+        .ok_or_else(|| type_error(key, "a number", value, line))
+}
+
+fn as_uint(key: &str, value: &TomlValue, line: usize) -> Result<u64, SpecError> {
+    match value {
+        TomlValue::UInt(u) => Ok(*u),
+        other => Err(type_error(key, "a non-negative integer", other, line)),
+    }
+}
+
+fn as_positive(key: &str, value: &TomlValue, line: usize) -> Result<f64, SpecError> {
+    match as_num(key, value, line)? {
+        n if n > 0.0 => Ok(n),
+        n => Err(SpecError::at(line, format!("`{key}` must be > 0, got {n}"))),
+    }
+}
+
+fn as_count(key: &str, value: &TomlValue, line: usize) -> Result<usize, SpecError> {
+    match as_positive(key, value, line)? {
+        n if n.fract() == 0.0 && n <= MAX_COUNT as f64 => Ok(n as usize),
+        n => Err(SpecError::at(
+            line,
+            format!("`{key}` must be an integer in 1..={MAX_COUNT}, got {n}"),
+        )),
+    }
+}
+
+/// The error of a `name` that is none of `options` (spelled `a|b|c`).
+fn unknown(line: usize, what: &str, name: &str, options: &str) -> SpecError {
+    SpecError::at(line, format!("unknown {what} `{name}` ({options})"))
+}
+
+fn as_workload(key: &str, value: &TomlValue, line: usize) -> Result<WorkloadKind, SpecError> {
+    let name = as_str(key, value, line)?;
+    parse_workload(&name).ok_or_else(|| unknown(line, "workload", &name, "memcached|kafka|mysql"))
+}
+
+fn as_platform(key: &str, value: &TomlValue, line: usize) -> Result<PlatformKind, SpecError> {
+    let name = as_str(key, value, line)?;
+    PlatformKind::parse(&name)
+        .ok_or_else(|| unknown(line, "platform", &name, "cshallow|cdeep|cpc1a"))
+}
+
+fn as_policy(key: &str, value: &TomlValue, line: usize) -> Result<RoutingPolicyKind, SpecError> {
+    let name = as_str(key, value, line)?;
+    let options = "random|round-robin|jsq|power-aware";
+    parse_policy(&name).ok_or_else(|| unknown(line, "policy", &name, options))
+}
+
+/// A key's value per fleet member group (see [`Table::per_group`]).
+struct PerGroup<T> {
+    key: &'static str,
+    items: Vec<T>,
+    line: usize,
+    /// False for a scalar, which applies to every group.
+    array: bool,
+}
+
+impl<T: Clone> PerGroup<T> {
+    /// Group `i`'s value.
+    fn get(&self, i: usize) -> T {
+        self.items[if self.array { i } else { 0 }].clone()
+    }
+
+    /// The key, its line and, for an array, its length.
+    fn shape(&self) -> (&'static str, usize, Option<usize>) {
+        (self.key, self.line, self.array.then_some(self.items.len()))
     }
 }
 
@@ -507,15 +637,140 @@ impl PlatformKind {
     }
 }
 
+/// Which of the modelled services a server runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkloadKind {
+    /// Memcached under the Facebook ETC mix ([`WorkloadSpec::memcached_etc`]).
+    MemcachedEtc,
+    /// Kafka produce/consume streaming ([`WorkloadSpec::kafka`]).
+    Kafka,
+    /// MySQL running sysbench-OLTP transactions ([`WorkloadSpec::mysql_oltp`]).
+    MysqlOltp,
+}
+
+impl WorkloadKind {
+    /// Builds a fresh specification (each server needs its own).
+    #[must_use]
+    pub fn spec(self) -> WorkloadSpec {
+        match self {
+            WorkloadKind::MemcachedEtc => WorkloadSpec::memcached_etc(),
+            WorkloadKind::Kafka => WorkloadSpec::kafka(),
+            WorkloadKind::MysqlOltp => WorkloadSpec::mysql_oltp(),
+        }
+    }
+
+    /// The spec-file spelling, as it appears in results and tables.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            WorkloadKind::MemcachedEtc => "memcached",
+            WorkloadKind::Kafka => "kafka",
+            WorkloadKind::MysqlOltp => "mysql",
+        }
+    }
+}
+
+/// The shape of a server's offered traffic over the run. Time-varying
+/// patterns are relative to the run's duration, so one spec scales from
+/// test windows to long runs without re-tuning.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrafficPattern {
+    /// The workload's default stationary arrivals (bursty MMPP for the
+    /// built-in specs) at a constant offered rate.
+    Constant {
+        /// Offered rate in requests per second.
+        rate_per_sec: f64,
+    },
+    /// A sinusoidal day/night curve: one full oscillation over the run.
+    Diurnal {
+        /// Long-run average rate in requests per second.
+        mean_rate_per_sec: f64,
+        /// Relative swing in `[0, 1)`: 0.75 swings over 0.25–1.75× the mean.
+        swing: f64,
+    },
+    /// A transient burst: base rate, then `peak_multiplier ×` base for a
+    /// window, then base again.
+    FlashCrowd {
+        /// Rate outside the burst, in requests per second.
+        base_rate_per_sec: f64,
+        /// Rate multiplier during the burst.
+        peak_multiplier: f64,
+        /// Burst start, as a fraction of the duration in `(0, 1)`.
+        start_fraction: f64,
+        /// Burst length, as a fraction of the duration in `(0, 1)`.
+        length_fraction: f64,
+    },
+}
+
+impl TrafficPattern {
+    /// The pattern's long-run average rate over the run.
+    #[must_use]
+    pub fn mean_rate_per_sec(&self) -> f64 {
+        match self {
+            TrafficPattern::Constant { rate_per_sec } => *rate_per_sec,
+            TrafficPattern::Diurnal {
+                mean_rate_per_sec, ..
+            } => *mean_rate_per_sec,
+            TrafficPattern::FlashCrowd {
+                base_rate_per_sec,
+                peak_multiplier,
+                length_fraction,
+                ..
+            } => base_rate_per_sec * (1.0 + (peak_multiplier - 1.0) * length_fraction),
+        }
+    }
+
+    /// Builds the arrival process of a run lasting `duration`, or `None`
+    /// for the workload's own stationary process.
+    #[must_use]
+    pub fn arrival_process(&self, duration: SimDuration) -> Option<Box<dyn ArrivalProcess>> {
+        match self {
+            TrafficPattern::Constant { .. } => None,
+            TrafficPattern::Diurnal {
+                mean_rate_per_sec,
+                swing,
+            } => Some(Box::new(SinusoidArrivals::new(
+                *mean_rate_per_sec,
+                *swing,
+                duration,
+                0.0,
+            ))),
+            TrafficPattern::FlashCrowd {
+                base_rate_per_sec,
+                peak_multiplier,
+                start_fraction,
+                length_fraction,
+            } => Some(Box::new(PiecewiseRateArrivals::flash_crowd(
+                *base_rate_per_sec,
+                *peak_multiplier,
+                duration.mul_f64(*start_fraction),
+                duration.mul_f64(*length_fraction),
+            ))),
+        }
+    }
+}
+
+/// One group of identical fleet members: `servers` servers running
+/// `workload` under `traffic`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetGroup {
+    /// Number of servers in the group.
+    pub servers: usize,
+    /// The service every server in the group runs.
+    pub workload: WorkloadKind,
+    /// The traffic each server receives.
+    pub traffic: TrafficPattern,
+}
+
 /// What shape of experiment a spec runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecKind {
     /// One server (optionally repeated under derived seeds).
     Single,
-    /// A fleet of independent servers sharing the workload and traffic.
+    /// A fleet of independent servers, in member groups.
     Fleet {
-        /// Number of servers.
-        servers: usize,
+        /// The member groups, in member order.
+        groups: Vec<FleetGroup>,
     },
     /// An N-node cluster behind a load balancer.
     Cluster {
@@ -547,6 +802,20 @@ pub enum SpecKind {
     },
 }
 
+impl SpecKind {
+    /// The spec-file spelling of the kind.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            SpecKind::Single => "single",
+            SpecKind::Fleet { .. } => "fleet",
+            SpecKind::Cluster { .. } => "cluster",
+            SpecKind::Chain { .. } => "chain",
+            SpecKind::Sweep { .. } => "sweep",
+        }
+    }
+}
+
 /// A parsed, validated experiment specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
@@ -556,9 +825,9 @@ pub struct ExperimentSpec {
     pub kind: SpecKind,
     /// Base platform (for sweeps, the per-point platform axis wins).
     pub platform: PlatformKind,
-    /// The service the servers run.
+    /// The service the servers run (a fleet's first member group's).
     pub workload: WorkloadKind,
-    /// The offered-traffic shape.
+    /// The offered-traffic shape (a fleet's first member group's).
     pub traffic: TrafficPattern,
     /// Simulated duration of each run.
     pub duration: SimDuration,
@@ -661,36 +930,40 @@ impl ExperimentSpec {
             .map(|(n, _)| n);
 
         // [platform]
-        let platform_declared = find("platform").is_some();
-        let platform = match find("platform") {
-            None => PlatformKind::Cpc1a,
-            Some(t) => match t.str("name")? {
-                None => PlatformKind::Cpc1a,
-                Some((s, line)) => PlatformKind::parse(&s).ok_or_else(|| {
-                    SpecError::at(
-                        line,
-                        format!("unknown platform `{s}` (cshallow|cdeep|cpc1a)"),
-                    )
-                })?,
-            },
-        };
+        let platform_table = find("platform");
+        let platform = match platform_table {
+            None => None,
+            Some(t) => t.get("name", as_platform)?,
+        }
+        .map_or(PlatformKind::Cpc1a, |(p, _)| p);
 
-        // [workload]
+        // [workload] — a fleet may give `kind` and `rate_per_sec` per member
+        // group, as arrays.
         let workload_table =
             find("workload").ok_or_else(|| SpecError::doc("missing required table [workload]"))?;
-        let (workload_name, workload_line) = workload_table
-            .str("kind")?
+        let workloads = workload_table
+            .per_group("kind", &kind_name, as_workload)?
             .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `kind`"))?;
-        let workload = parse_workload(&workload_name).ok_or_else(|| {
-            SpecError::at(
-                workload_line,
-                format!("unknown workload `{workload_name}` (memcached|kafka|mysql)"),
-            )
-        })?;
-        let (rate, _) = workload_table
-            .positive("rate_per_sec")?
+        let rates = workload_table
+            .per_group("rate_per_sec", &kind_name, as_positive)?
             .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `rate_per_sec`"))?;
-        let (traffic, burst_lines) = parse_traffic(workload_table, rate)?;
+        let mut burst_lines = [0; 2];
+        let traffics = PerGroup {
+            key: rates.key,
+            line: rates.line,
+            array: rates.array,
+            items: rates
+                .items
+                .iter()
+                .map(|&rate| {
+                    let (traffic, lines) = parse_traffic(workload_table, rate)?;
+                    burst_lines = lines;
+                    Ok(traffic)
+                })
+                .collect::<Result<_, SpecError>>()?,
+        };
+        let workload = workloads.get(0);
+        let traffic = traffics.get(0);
 
         // [telemetry]
         let timeseries_interval = match find("telemetry") {
@@ -722,10 +995,12 @@ impl ExperimentSpec {
                 let t = find("fleet").ok_or_else(|| {
                     SpecError::at(kind_line, "kind = \"fleet\" needs a [fleet] table")
                 })?;
-                let (servers, _) = t
-                    .count("servers")?
+                let servers = t
+                    .per_group("servers", &kind_name, as_count)?
                     .ok_or_else(|| SpecError::at(t.line, "[fleet] needs `servers`"))?;
-                SpecKind::Fleet { servers }
+                SpecKind::Fleet {
+                    groups: fleet_groups(&servers, &workloads, &traffics)?,
+                }
             }
             "cluster" => {
                 let t = find("cluster").ok_or_else(|| {
@@ -734,16 +1009,11 @@ impl ExperimentSpec {
                 let (nodes, _) = t
                     .count("nodes")?
                     .ok_or_else(|| SpecError::at(t.line, "[cluster] needs `nodes`"))?;
-                let policy = match t.str("policy")? {
-                    None => RoutingPolicyKind::PowerAware,
-                    Some((s, line)) => parse_policy(&s).ok_or_else(|| {
-                        SpecError::at(
-                            line,
-                            format!("unknown policy `{s}` (random|round-robin|jsq|power-aware)"),
-                        )
-                    })?,
-                };
-                SpecKind::Cluster { nodes, policy }
+                let policy = t.get("policy", as_policy)?;
+                SpecKind::Cluster {
+                    nodes,
+                    policy: policy.map_or(RoutingPolicyKind::PowerAware, |(p, _)| p),
+                }
             }
             "chain" => {
                 let t = find("chain").ok_or_else(|| {
@@ -755,15 +1025,9 @@ impl ExperimentSpec {
                 let (fanout, _) = t
                     .count("fanout")?
                     .ok_or_else(|| SpecError::at(t.line, "[chain] needs `fanout`"))?;
-                let policy = match t.str("policy")? {
-                    None => RoutingPolicyKind::JoinShortestQueue,
-                    Some((s, line)) => parse_policy(&s).ok_or_else(|| {
-                        SpecError::at(
-                            line,
-                            format!("unknown policy `{s}` (random|round-robin|jsq|power-aware)"),
-                        )
-                    })?,
-                };
+                let policy = t
+                    .get("policy", as_policy)?
+                    .map_or(RoutingPolicyKind::JoinShortestQueue, |(p, _)| p);
                 let frontend_service = t.duration("frontend_service_us", 1.0)?;
                 let leaf_service = t.duration("leaf_service_us", 1.0)?;
                 SpecKind::Chain {
@@ -778,96 +1042,31 @@ impl ExperimentSpec {
                 let t = find("sweep").ok_or_else(|| {
                     SpecError::at(kind_line, "kind = \"sweep\" needs a [sweep] table")
                 })?;
-                let rates = match t.entry("rates") {
-                    None => return Err(SpecError::at(t.line, "[sweep] needs `rates`")),
-                    Some(e) => match &e.value {
-                        TomlValue::Array(items) => {
-                            let mut rates = Vec::new();
-                            for item in items {
-                                match item.as_f64() {
-                                    Some(n) if n > 0.0 => rates.push(n),
-                                    _ => {
-                                        return Err(SpecError::at(
-                                            e.line,
-                                            "`rates` must be positive numbers",
-                                        ))
-                                    }
-                                }
-                            }
-                            if rates.is_empty() {
-                                return Err(SpecError::at(e.line, "`rates` must not be empty"));
-                            }
-                            rates
-                        }
-                        other => {
-                            return Err(SpecError::at(
-                                e.line,
-                                format!("`rates` must be an array, got a {}", other.type_name()),
-                            ))
-                        }
-                    },
-                };
+                let (rates, _) = t
+                    .array("rates", as_positive)?
+                    .ok_or_else(|| SpecError::at(t.line, "[sweep] needs `rates`"))?;
                 // The platform axis and the base [platform] table are the
                 // same knob spelled two ways: a declared [platform] becomes
                 // the (single-point) axis, an explicit `platforms` array
                 // alongside it is a conflict, and with neither the sweep
                 // covers all three platforms.
-                let platforms = match t.entry("platforms") {
-                    None if platform_declared => vec![platform],
-                    None => PlatformKind::all().to_vec(),
-                    Some(e) if platform_declared => {
+                let platforms = match (t.array("platforms", as_platform)?, platform_table) {
+                    (None, Some(_)) => vec![platform],
+                    (None, None) => PlatformKind::all().to_vec(),
+                    (Some((_, line)), Some(_)) => {
                         return Err(SpecError::at(
-                            e.line,
+                            line,
                             "`platforms` conflicts with the [platform] table \
                              (declare the axis in one place)",
                         ))
                     }
-                    Some(e) => match &e.value {
-                        TomlValue::Array(items) => {
-                            let mut platforms = Vec::new();
-                            for item in items {
-                                match item {
-                                    TomlValue::Str(s) => {
-                                        platforms.push(PlatformKind::parse(s).ok_or_else(
-                                            || {
-                                                SpecError::at(
-                                                    e.line,
-                                                    format!("unknown platform `{s}`"),
-                                                )
-                                            },
-                                        )?);
-                                    }
-                                    _ => {
-                                        return Err(SpecError::at(
-                                            e.line,
-                                            "`platforms` must be strings",
-                                        ))
-                                    }
-                                }
-                            }
-                            if platforms.is_empty() {
-                                return Err(SpecError::at(e.line, "`platforms` must not be empty"));
-                            }
-                            platforms
-                        }
-                        other => {
-                            return Err(SpecError::at(
-                                e.line,
-                                format!(
-                                    "`platforms` must be an array, got a {}",
-                                    other.type_name()
-                                ),
-                            ))
-                        }
-                    },
+                    (Some((platforms, _)), None) => platforms,
                 };
                 SpecKind::Sweep { rates, platforms }
             }
             other => {
-                return Err(SpecError::at(
-                    kind_line,
-                    format!("unknown experiment kind `{other}` (single|fleet|cluster|chain|sweep)"),
-                ))
+                let kinds = "single|fleet|cluster|chain|sweep";
+                return Err(unknown(kind_line, "experiment kind", other, kinds));
             }
         };
 
@@ -1007,6 +1206,47 @@ impl ExperimentSpec {
     }
 }
 
+/// Zips the per-group keys of a fleet into its member groups: every array
+/// must have the same length, and the groups may total at most
+/// `MAX_COUNT` servers.
+fn fleet_groups(
+    servers: &PerGroup<usize>,
+    workloads: &PerGroup<WorkloadKind>,
+    traffics: &PerGroup<TrafficPattern>,
+) -> Result<Vec<FleetGroup>, SpecError> {
+    let mut count: Option<(&str, usize)> = None;
+    for (key, line, len) in [servers.shape(), workloads.shape(), traffics.shape()] {
+        match (count, len) {
+            (Some((first, n)), Some(len)) if n != len => {
+                return Err(SpecError::at(
+                    line,
+                    format!(
+                        "`{key}` has {len} items but `{first}` has {n} \
+                         (one item per member group)"
+                    ),
+                ))
+            }
+            (None, Some(len)) => count = Some((key, len)),
+            _ => {}
+        }
+    }
+    let groups: Vec<FleetGroup> = (0..count.map_or(1, |(_, n)| n))
+        .map(|i| FleetGroup {
+            servers: servers.get(i),
+            workload: workloads.get(i),
+            traffic: traffics.get(i),
+        })
+        .collect();
+    let total: usize = groups.iter().map(|g| g.servers).sum();
+    if total > MAX_COUNT {
+        return Err(SpecError::at(
+            servers.line,
+            format!("the member groups total {total} servers, above {MAX_COUNT}"),
+        ));
+    }
+    Ok(groups)
+}
+
 /// Parses the `[trace]` table into a [`TraceConfig`]. Strict like
 /// [`parse_network`]: unknown keys and out-of-range rates fail with the
 /// offending line (the caller re-flags every error as a usage error).
@@ -1111,9 +1351,11 @@ fn parse_network(t: &Table) -> Result<NetworkConfig, SpecError> {
         }
         "fat-tree" => NetworkConfig::fat_tree(latency, rack_size, racks_per_pod, oversubscription),
         other => {
-            return Err(SpecError::at(
+            return Err(unknown(
                 topo_line,
-                format!("unknown topology `{other}` (flat|two-tier|fat-tree)"),
+                "topology",
+                other,
+                "flat|two-tier|fat-tree",
             ))
         }
     };
@@ -1226,9 +1468,11 @@ fn parse_traffic(table: &Table, rate: f64) -> Result<(TrafficPattern, [usize; 2]
                 [start_line, length_line],
             ))
         }
-        other => Err(SpecError::at(
+        other => Err(unknown(
             pattern_line,
-            format!("unknown pattern `{other}` (constant|diurnal|flash-crowd)"),
+            "pattern",
+            other,
+            "constant|diurnal|flash-crowd",
         )),
     }
 }
@@ -1317,14 +1561,22 @@ servers = 4
 sample_interval_us = 250
 "#;
         let spec = ExperimentSpec::parse(text).unwrap();
-        assert_eq!(spec.kind, SpecKind::Fleet { servers: 4 });
+        let traffic = TrafficPattern::Diurnal {
+            mean_rate_per_sec: 8000.0,
+            swing: 0.5,
+        };
+        let group = FleetGroup {
+            servers: 4,
+            workload: WorkloadKind::Kafka,
+            traffic: traffic.clone(),
+        };
         assert_eq!(
-            spec.traffic,
-            TrafficPattern::Diurnal {
-                mean_rate_per_sec: 8000.0,
-                swing: 0.5
+            spec.kind,
+            SpecKind::Fleet {
+                groups: vec![group]
             }
         );
+        assert_eq!(spec.traffic, traffic);
         assert_eq!(
             spec.timeseries_interval,
             Some(SimDuration::from_micros(250))
@@ -1629,5 +1881,31 @@ platforms = ["cshallow", "cpc1a"]
         };
         assert_eq!(rates, vec![4_000.0, 10_000.0, 25_000.0]);
         assert_eq!(platforms, vec![PlatformKind::Cshallow, PlatformKind::Cpc1a]);
+    }
+
+    #[test]
+    fn fleet_groups_zip_arrays_and_broadcast_scalars() {
+        let text = "[experiment]\nkind = \"fleet\"\n\n[workload]\n\
+                    kind = [\"memcached\", \"kafka\", \"mysql\"]\n\
+                    rate_per_sec = [25_000, 8_000, 800]\npattern = \"flash-crowd\"\n\n\
+                    [fleet]\nservers = 2\n";
+        let spec = ExperimentSpec::parse(text).unwrap();
+        let SpecKind::Fleet { groups } = &spec.kind else {
+            panic!("expected a fleet");
+        };
+        let shape: Vec<(usize, &str, f64)> = groups
+            .iter()
+            .map(|g| (g.servers, g.workload.name(), g.traffic.mean_rate_per_sec()))
+            .collect();
+        // The shared 6x burst over 20 % of the run doubles every mean rate.
+        assert_eq!(
+            shape,
+            [
+                (2, "memcached", 50_000.0),
+                (2, "kafka", 16_000.0),
+                (2, "mysql", 1_600.0)
+            ]
+        );
+        assert_eq!(spec.workload, WorkloadKind::MemcachedEtc, "first group's");
     }
 }

@@ -17,14 +17,14 @@
 use std::path::PathBuf;
 
 use apc_analysis::export::JsonValue;
-use apc_cli::execute;
+use apc_cli::{execute, SCENARIOS};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
 /// Runs `target` (a spec file under `tests/golden/` or a scenario name)
 /// with `extra` arguments in `format` and returns the artefact as printed
-/// to stdout and as written by each of the file flags in `ways`.
-fn render_ways(target: &str, format: &str, extra: &[&str], ways: &[&str]) -> Vec<String> {
+/// to stdout, written by `--out` and by `--stream-out`.
+fn render_three_ways(target: &str, format: &str, extra: &[&str]) -> [String; 3] {
     let spec_path = format!("{GOLDEN}/{target}");
     let target_arg = if target.ends_with(".toml") {
         spec_path.as_str()
@@ -51,18 +51,14 @@ fn render_ways(target: &str, format: &str, extra: &[&str], ways: &[&str]) -> Vec
         let _ = std::fs::remove_file(&path);
         text
     };
-    let mut texts = vec![run(&[])];
-    texts.extend(ways.iter().map(|flag| file(flag)));
-    texts
+    [run(&[]), file("--out"), file("--stream-out")]
 }
 
-fn assert_golden(spec: &str, format: &str, expected: &str) {
-    assert_golden_ways(spec, format, &[], &["--out", "--stream-out"], expected);
-}
-
-fn assert_golden_ways(target: &str, format: &str, extra: &[&str], ways: &[&str], expected: &str) {
-    let hows = std::iter::once(&"stdout").chain(ways);
-    for (how, text) in hows.zip(render_ways(target, format, extra, ways)) {
+fn assert_golden(target: &str, format: &str, extra: &[&str], expected: &str) {
+    for (how, text) in ["stdout", "--out", "--stream-out"]
+        .iter()
+        .zip(render_three_ways(target, format, extra))
+    {
         assert_eq!(text, expected, "{target} --format {format} via {how}");
     }
 }
@@ -70,7 +66,7 @@ fn assert_golden_ways(target: &str, format: &str, extra: &[&str], ways: &[&str],
 #[test]
 fn fleet_object_json_matches_golden_bytes() {
     let expected = include_str!("golden/fleet.json");
-    assert_golden("fleet.toml", "json", expected);
+    assert_golden("fleet.toml", "json", &[], expected);
     let parsed = JsonValue::parse(expected).expect("golden parses");
     let labels: Vec<&str> = parsed
         .get("labels")
@@ -86,7 +82,7 @@ fn fleet_object_json_matches_golden_bytes() {
 #[test]
 fn cluster_array_json_with_network_and_repeats_matches_golden_bytes() {
     let expected = include_str!("golden/cluster_net.json");
-    assert_golden("cluster_net.toml", "json", expected);
+    assert_golden("cluster_net.toml", "json", &[], expected);
     let parsed = JsonValue::parse(expected).expect("golden parses");
     let repeats = parsed.as_array().expect("one array element per repeat");
     assert_eq!(repeats.len(), 2);
@@ -104,7 +100,7 @@ fn cluster_array_json_with_network_and_repeats_matches_golden_bytes() {
 #[test]
 fn cluster_csv_with_network_and_repeats_matches_golden_bytes() {
     let expected = include_str!("golden/cluster_net.csv");
-    assert_golden("cluster_net.toml", "csv", expected);
+    assert_golden("cluster_net.toml", "csv", &[], expected);
     // One header with the fabric columns, then 2 node rows per repeat.
     assert_eq!(expected.lines().count(), 1 + 2 * 2);
     assert!(expected.starts_with("repeat,node,policy,routed,net_topology,"));
@@ -113,7 +109,7 @@ fn cluster_csv_with_network_and_repeats_matches_golden_bytes() {
 #[test]
 fn power_aware_cluster_over_delayed_fabric_matches_golden_bytes() {
     let expected = include_str!("golden/cluster_pa8_net.json");
-    assert_golden("cluster_pa8_net.toml", "json", expected);
+    assert_golden("cluster_pa8_net.toml", "json", &[], expected);
     let parsed = JsonValue::parse(expected).expect("golden parses");
     let repeats = parsed.as_array().expect("one array element per repeat");
     assert_eq!(repeats.len(), 1);
@@ -135,50 +131,23 @@ fn power_aware_cluster_over_delayed_fabric_matches_golden_bytes() {
     assert!(runs.iter().all(|r| r.get("timeseries").is_some()));
 }
 
-/// Every named scenario, in `apc-cli list` order.
-const NAMED: [&str; 9] = [
-    "diurnal",
-    "flash-crowd",
-    "heterogeneous",
-    "low-load-sweep",
-    "cluster-8-mid",
-    "cluster-8-trough",
-    "cluster-16-kafka",
-    "mesh-8-fanout4",
-    "mesh-16-memcached",
-];
-
 fn golden_text(file: &str) -> String {
     std::fs::read_to_string(format!("{GOLDEN}/{file}")).expect("golden file present")
 }
 
 #[test]
 fn named_scenarios_match_golden_bytes() {
-    for name in NAMED {
+    for (name, _, _) in SCENARIOS {
         let expected = golden_text(&format!("{name}.json"));
-        assert_golden_ways(name, "json", &["--duration-ms", "2"], &["--out"], &expected);
+        assert_golden(name, "json", &["--duration-ms", "2"], &expected);
     }
 }
 
 #[test]
 fn list_matches_golden_bytes() {
-    for (format, file) in [
-        ("table", "list.txt"),
-        ("json", "list.json"),
-        ("csv", "list.csv"),
-    ] {
-        let argv: Vec<String> = ["list", "--format", format]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
+    for (format, file) in [("table", "txt"), ("json", "json"), ("csv", "csv")] {
+        let argv = ["list", "--format", format].map(str::to_owned);
         let text = execute(&argv).expect("list runs");
-        assert_eq!(text, golden_text(file), "list --format {format}");
+        assert_eq!(text, golden_text(&format!("list.{file}")), "{format}");
     }
-    let csv = golden_text("list.csv");
-    let names: Vec<&str> = csv
-        .lines()
-        .skip(1)
-        .map(|l| l.split(',').next().unwrap())
-        .collect();
-    assert_eq!(names, NAMED);
 }

@@ -630,7 +630,7 @@ fn trace_spec_errors_are_line_numbered_usage_errors() {
 }
 
 #[test]
-fn trace_out_needs_a_trace_table_and_profile_needs_a_spec() {
+fn trace_out_needs_a_trace_table_and_profile_applies_to_named_scenarios() {
     // --trace-out without a [trace] table fails before anything runs.
     let spec = Scratch::new("trace-noflag.toml");
     spec.write(SINGLE_SPEC);
@@ -646,7 +646,7 @@ fn trace_out_needs_a_trace_table_and_profile_needs_a_spec() {
         "{err:?}"
     );
     assert_eq!(err.exit_code(), 2);
-    // Named library scenarios never trace or profile.
+    // Named scenarios never trace, but they profile like any spec.
     let err = execute(&args(&[
         "run",
         "mesh-8-fanout4",
@@ -658,11 +658,21 @@ fn trace_out_needs_a_trace_table_and_profile_needs_a_spec() {
         matches!(&err, CliError::Usage(m) if m.contains("--trace-out")),
         "{err:?}"
     );
-    let err = execute(&args(&["run", "cluster-8-mid", "--profile"])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("--profile")),
-        "{err:?}"
-    );
+    let run = |extra: &[&str]| {
+        let mut argv = vec![
+            "run",
+            "cluster-8-mid",
+            "--duration-ms",
+            "2",
+            "--format",
+            "json",
+        ];
+        argv.extend(extra);
+        execute(&args(&argv)).unwrap()
+    };
+    let profiled = run(&["--profile"]);
+    assert!(profiled.contains("\"events_dispatched\""), "{profiled}");
+    assert!(!run(&[]).contains("\"profile\""));
 }
 
 #[test]
@@ -688,27 +698,6 @@ platforms = ["cshallow", "cpc1a"]
     assert_eq!(lines.len(), 5, "header + 2x2 grid: {out}");
     assert!(lines[1].starts_with("cshallow@5000,"));
     assert!(lines[4].starts_with("cpc1a@20000,"));
-}
-
-#[test]
-fn list_names_every_library_scenario() {
-    let table = execute(&args(&["list"])).unwrap();
-    for name in [
-        "diurnal",
-        "flash-crowd",
-        "heterogeneous",
-        "low-load-sweep",
-        "cluster-8-mid",
-        "cluster-8-trough",
-        "cluster-16-kafka",
-        "mesh-8-fanout4",
-        "mesh-16-memcached",
-    ] {
-        assert!(table.contains(name), "missing {name} in\n{table}");
-    }
-    let json = execute(&args(&["list", "--format", "json"])).unwrap();
-    let parsed = JsonValue::parse(&json).expect("list JSON parses");
-    assert_eq!(parsed.as_array().map(<[_]>::len), Some(9));
 }
 
 // ---- error paths -------------------------------------------------------
@@ -950,4 +939,98 @@ fn validate_rejects_invalid_json() {
     );
     let err = execute(&args(&["validate", "/no/such/file.json"])).unwrap_err();
     assert!(matches!(err, CliError::Io(_)), "{err:?}");
+}
+
+#[test]
+fn duration_overflowing_the_nanosecond_clock_is_a_usage_error() {
+    let spec = Scratch::new("overflow.toml");
+    spec.write(SINGLE_SPEC);
+    // 18446744073709552 ms is the first millisecond count past u64::MAX ns.
+    for ms in ["18446744073709552", "18446744073709551615"] {
+        for target in [spec.path(), "cluster-8-mid"] {
+            let err = execute(&args(&["run", target, "--duration-ms", ms])).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains("overflows")),
+                "{target} {ms}: {err:?}"
+            );
+            assert_eq!(err.exit_code(), 2);
+        }
+    }
+}
+
+/// Runs `spec_text` and requires a line-numbered input error (exit 1) on
+/// `line` that mentions `needle`.
+fn assert_input_error(spec_text: &str, line: usize, needle: &str) {
+    let spec = Scratch::new("hostile.toml");
+    spec.write(spec_text);
+    let err = execute(&args(&["run", spec.path()])).unwrap_err();
+    let message = err.to_string();
+    assert_eq!(err.exit_code(), 1, "{spec_text}: {message}");
+    assert!(
+        message.contains(&format!("line {line}:")) && message.contains(needle),
+        "{spec_text}: {message}"
+    );
+}
+
+/// A fleet spec with these `[workload] kind`, `rate_per_sec` and `[fleet]
+/// servers` values, on lines 6, 7 and 10.
+fn fleet_spec(kind: &str, rate: &str, servers: &str) -> String {
+    format!(
+        "[experiment]\nkind = \"fleet\"\nduration_ms = 2\n\n[workload]\nkind = {kind}\n\
+         rate_per_sec = {rate}\n\n[fleet]\nservers = {servers}\n"
+    )
+}
+
+const MEMCACHED: &str = "\"memcached\"";
+
+#[test]
+fn mismatched_or_empty_fleet_groups_fail_with_line_numbers() {
+    let two = r#"["memcached", "kafka"]"#;
+    for (kind, rate, servers, line, needle) in [
+        (two, "1", "[1, 2, 3]", 6, "`kind` has 2 items but"),
+        (MEMCACHED, "[1, 2]", "[1, 2, 3]", 7, "has 2 items but"),
+        (MEMCACHED, "1", "[]", 10, "must not be empty"),
+        ("[]", "1", "1", 6, "`kind` must not be empty"),
+    ] {
+        assert_input_error(&fleet_spec(kind, rate, servers), line, needle);
+    }
+}
+
+#[test]
+fn hostile_fleet_group_values_fail_with_line_numbers() {
+    let redis = r#"["memcached", "redis"]"#;
+    for (kind, rate, servers, line, needle) in [
+        // Server counts that are zero, fractional or too large, alone or
+        // in total.
+        (MEMCACHED, "1", "[2, 0]", 10, "must be > 0"),
+        (MEMCACHED, "1", "[1.5]", 10, "in 1..=100000"),
+        (MEMCACHED, "1", "[100001]", 10, "in 1..=100000"),
+        (MEMCACHED, "1", "[100000, 1]", 10, "total 100001"),
+        (MEMCACHED, "1", r#"["4"]"#, 10, "must be a number"),
+        // Unknown workloads and bad rates inside arrays.
+        (redis, "1", "1", 6, "unknown workload `redis`"),
+        (MEMCACHED, "[1_000, -1]", "1", 7, "must be > 0"),
+    ] {
+        assert_input_error(&fleet_spec(kind, rate, servers), line, needle);
+    }
+}
+
+#[test]
+fn group_arrays_outside_fleets_fail_with_line_numbers() {
+    for (kind, table) in [
+        ("single", ""),
+        ("cluster", "[cluster]\nnodes = 2\n"),
+        ("chain", "[chain]\nnodes = 2\nfanout = 2\n"),
+        ("sweep", "[sweep]\nrates = [1_000]\n"),
+    ] {
+        for (workload, line) in [
+            ("kind = [\"memcached\"]\nrate_per_sec = 1_000", 5),
+            ("kind = \"memcached\"\nrate_per_sec = [1_000, 2_000]", 6),
+        ] {
+            let spec =
+                format!("[experiment]\nkind = \"{kind}\"\n\n[workload]\n{workload}\n\n{table}");
+            let needle = format!("only a fleet's member groups accept (kind = \"{kind}\")");
+            assert_input_error(&spec, line, &needle);
+        }
+    }
 }

@@ -287,20 +287,28 @@ fn stream_out_flag_conflicts_are_usage_errors() {
         matches!(&err, CliError::Usage(m) if m.contains("tables are rendered whole")),
         "{err:?}"
     );
-    // Named library scenarios render their output whole.
-    let err = execute(&args(&[
-        "run",
-        "cluster-8-mid",
-        "--format",
-        "json",
-        "--stream-out",
-        "/tmp/b.json",
-    ]))
-    .unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("--stream-out") && m.contains("spec files")),
-        "{err:?}"
-    );
+}
+
+#[test]
+fn named_scenarios_stream_the_same_bytes_as_out() {
+    for format in ["json", "csv"] {
+        let [buffered, streamed] = ["--out", "--stream-out"].map(|flag| {
+            let out = Scratch::new(&format!("cluster-8-mid{flag}.{format}"));
+            let argv = [
+                "run",
+                "cluster-8-mid",
+                "--duration-ms",
+                "2",
+                "--format",
+                format,
+                flag,
+                out.path(),
+            ];
+            execute(&args(&argv)).unwrap();
+            out.read()
+        });
+        assert_eq!(buffered, streamed, "{format}");
+    }
 }
 
 // ---- sweep --shard / merge ---------------------------------------------

@@ -167,13 +167,6 @@ impl RequestGraph {
         self.tiers.iter().map(|t| t.width).max().unwrap_or(0)
     }
 
-    /// `true` when some tier fans out (width > 1), i.e. the chain has a
-    /// wait-for-all join whose straggler gap is meaningful.
-    #[must_use]
-    pub fn has_fanout(&self) -> bool {
-        self.max_fanout() > 1
-    }
-
     /// A compact human-readable shape, e.g. `1x frontend -> 4x kv-get`.
     #[must_use]
     pub fn describe(&self) -> String {
@@ -790,12 +783,10 @@ mod tests {
             RequestGraph::linear(vec![TierService::frontend(), TierService::memcached_leaf()]);
         assert_eq!(linear.rpcs_per_chain(), 2);
         assert_eq!(linear.max_fanout(), 1);
-        assert!(!linear.has_fanout());
 
         let fan = RequestGraph::memcached_fanout(4);
         assert_eq!(fan.rpcs_per_chain(), 5);
         assert_eq!(fan.max_fanout(), 4);
-        assert!(fan.has_fanout());
         assert_eq!(fan.describe(), "1x frontend -> 4x kv-get");
         assert_eq!(fan.to_string(), fan.describe());
     }

@@ -219,12 +219,12 @@ pub struct FleetMember {
     /// spec's default arrival process runs at, and the `offered_rate`
     /// recorded in the member's [`RunResult`]. When an arrival override is
     /// installed, set this to the pattern's long-run average over the run
-    /// (as [`crate::scenario`] does) — the override itself only knows its
+    /// (as the `apc-cli` spec runner does) — the override itself only knows its
     /// schedule, not the run horizon.
     pub rate_per_sec: f64,
     /// Optional arrival-process override. `None` uses the spec's default
-    /// stationary process at [`FleetMember::rate_per_sec`]; scenarios install
-    /// time-varying processes here (see [`crate::scenario`]).
+    /// stationary process at [`FleetMember::rate_per_sec`]; diurnal and
+    /// flash-crowd specs install time-varying processes here.
     pub arrivals: Option<Box<dyn ArrivalProcess>>,
 }
 
@@ -293,8 +293,8 @@ impl Pool<FleetMember> {
     /// The canonical seed of fleet member `index` under root seed
     /// `root_seed`: the root forked by label `"server {index}"` (see
     /// [`SimRng::fork`] for the full derivation scheme). Both
-    /// [`Fleet::homogeneous`] and the scenario builder derive member seeds
-    /// through this single function, so fleets built either way agree.
+    /// [`Fleet::homogeneous`] and the `apc-cli` fleet specs derive member
+    /// seeds through this single function, so fleets built either way agree.
     #[must_use]
     pub fn member_seed(root_seed: u64, index: usize) -> u64 {
         SimRng::from_seed(root_seed)

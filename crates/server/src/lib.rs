@@ -30,12 +30,12 @@
 //! * [`fleet`] — the deterministic run [`fleet::Pool`] executing
 //!   independent servers ([`fleet::Fleet`]), clusters or chains in
 //!   parallel, and the [`fleet::FleetResult`] aggregates;
-//! * [`scenario`] — declarative [`scenario::Scenario`] specs plus a library
-//!   of named fleet experiments (diurnal, flash crowd, heterogeneous,
-//!   low-load sweep), cluster-routing scenarios
-//!   ([`scenario::ClusterScenario`]) and fan-out chain scenarios
-//!   ([`scenario::ChainScenario`]: `mesh-8-fanout4`, `mesh-16-memcached`);
 //! * [`result`] — [`result::RunResult`] with derived metrics.
+//!
+//! Experiments are described as spec files, which the `apc-cli` crate
+//! parses and runs through these builders; its named scenarios (diurnal,
+//! flash crowd, the 8- and 16-node clusters, the fan-out meshes, ...) are
+//! spec files bundled into its binary.
 //!
 //! # Example
 //!
@@ -62,7 +62,6 @@ pub mod fleet;
 mod multinode;
 pub mod node;
 pub mod result;
-pub mod scenario;
 pub mod sim;
 
 pub use balancer::{RoutingPolicy, RoutingPolicyKind};
@@ -76,8 +75,4 @@ pub use config::ServerConfig;
 pub use fleet::{Fleet, FleetMember, FleetResult, Member, Pool};
 pub use node::ServerNode;
 pub use result::RunResult;
-pub use scenario::{
-    ChainScenario, ClusterScenario, MemberGroup, Scenario, ScenarioResult, TrafficPattern,
-    WorkloadKind,
-};
 pub use sim::{run_experiment, ServerSimulation};

@@ -5,16 +5,32 @@
 
 use apc_pmu::governor::IdleGovernor;
 use apc_server::balancer::RoutingPolicyKind;
-use apc_server::chain::{run_chain_experiment, ChainFleet, ChainMember, RequestGraph};
+use apc_server::chain::{run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph};
 use apc_server::components::state::ServerState;
 use apc_server::config::ServerConfig;
-use apc_server::scenario::ChainScenario;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::CoreCState;
 use apc_workloads::chain::TierService;
 
 fn quick_base(platform: ServerConfig) -> ServerConfig {
     platform.with_duration(SimDuration::from_millis(20))
+}
+
+/// The `mesh-8-fanout4` scenario's shape on `platform` for `ms`
+/// milliseconds: 8 nodes, memcached fan-out 4 at 8 K chains/s, seed 0x5ce0.
+fn mesh_8_fanout4(platform: ServerConfig, ms: u64) -> ChainResult {
+    let base = platform
+        .with_duration(SimDuration::from_millis(ms))
+        .with_seed(0x5ce0);
+    let graph = RequestGraph::memcached_fanout(4);
+    ChainMember::homogeneous(
+        &base,
+        8,
+        RoutingPolicyKind::JoinShortestQueue,
+        graph,
+        8_000.0,
+    )
+    .run()
 }
 
 #[test]
@@ -117,20 +133,16 @@ fn chain_fleet_parallel_matches_sequential_bit_for_bit() {
 
 #[test]
 fn chain_scenarios_run_under_every_platform() {
-    let scenario = ChainScenario::mesh_8_fanout4().with_duration(SimDuration::from_millis(10));
     for platform in [
         ServerConfig::c_shallow(),
         ServerConfig::c_deep(),
         ServerConfig::c_pc1a(),
     ] {
-        let result = scenario.run(&platform, RoutingPolicyKind::JoinShortestQueue);
+        let name = platform.platform.name;
+        let result = mesh_8_fanout4(platform, 10);
         assert_eq!(result.nodes.servers(), 8);
-        assert!(result.chains_completed > 0, "{}", platform.platform.name);
+        assert!(result.chains_completed > 0, "{name}");
     }
-    assert_eq!(ChainScenario::library().len(), 2);
-    assert!(ChainScenario::library()
-        .iter()
-        .all(|s| s.graph.has_fanout()));
 }
 
 /// Regression (predicted-idle plumbing): a core going idle while a fan-out
@@ -184,19 +196,9 @@ fn armed_nic_delivery_bounds_the_predicted_idle() {
 /// tail, while `CPC1A` holds a `Cshallow`-class tail at lower power.
 #[test]
 fn cdeep_widens_the_fanout_tail_cpc1a_holds_it() {
-    let scenario = ChainScenario::mesh_8_fanout4().with_duration(SimDuration::from_millis(50));
-    let shallow = scenario.run(
-        &ServerConfig::c_shallow(),
-        RoutingPolicyKind::JoinShortestQueue,
-    );
-    let deep = scenario.run(
-        &ServerConfig::c_deep(),
-        RoutingPolicyKind::JoinShortestQueue,
-    );
-    let pc1a = scenario.run(
-        &ServerConfig::c_pc1a(),
-        RoutingPolicyKind::JoinShortestQueue,
-    );
+    let shallow = mesh_8_fanout4(ServerConfig::c_shallow(), 50);
+    let deep = mesh_8_fanout4(ServerConfig::c_deep(), 50);
+    let pc1a = mesh_8_fanout4(ServerConfig::c_pc1a(), 50);
     assert!(
         deep.chain_latency.p999 > shallow.chain_latency.p999,
         "deep {} vs shallow {}",

@@ -85,7 +85,7 @@ impl SimRng {
     /// | server-node component | its unprefixed label (`"nic"`, `"core 3"`) | the node's seed (a standalone server's simulation root) |
     /// | node bootstrap draws | `"bootstrap"` | the node's seed |
     /// | load generator | `"loadgen"` | the server's (or cluster's) seed |
-    /// | fleet / scenario member `i` | `"server i"` | the fleet or scenario seed |
+    /// | fleet member `i` | `"server i"` | the fleet seed |
     /// | cluster node `i` | `"server i"` | the cluster seed |
     /// | cluster balancer | `"balancer"` | the cluster seed (its simulation root) |
     ///

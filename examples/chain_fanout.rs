@@ -22,20 +22,21 @@ fn main() {
         ServerConfig::c_deep(),
         ServerConfig::c_pc1a(),
     ];
+    let duration = SimDuration::from_millis(100);
 
-    for scenario in ChainScenario::library() {
+    // The `mesh-8-fanout4` and `mesh-16-memcached` named scenarios.
+    for (name, nodes, fanout, chains_per_sec, tail) in [
+        ("mesh-8-fanout4", 8, 4, 8_000.0, "wait-for-all join"),
+        ("mesh-16-memcached", 16, 8, 6_000.0, "straggler-bound tail"),
+    ] {
+        let graph = RequestGraph::memcached_fanout(fanout);
         println!(
-            "\n### {} — {} ({} nodes, {}, {:.0} chains/s, {} window)",
-            scenario.name,
-            scenario.description,
-            scenario.nodes,
-            scenario.graph,
-            scenario.chains_per_sec,
-            scenario.duration,
+            "\n### {name} — {nodes}-node memcached scatter-gather, fan-out {fanout}, {tail} \
+             ({nodes} nodes, {graph}, {chains_per_sec:.0} chains/s, {duration} window)"
         );
 
         let mut table = TextTable::new(
-            &format!("{} x platforms (join-shortest-queue)", scenario.name),
+            &format!("{name} x platforms (join-shortest-queue)"),
             &[
                 "platform",
                 "chains/s",
@@ -49,8 +50,11 @@ fn main() {
             ],
         );
         let mut shallow_power: Option<f64> = None;
-        for base in &configs {
-            let result = scenario.run(base, RoutingPolicyKind::JoinShortestQueue);
+        for config in &configs {
+            let base = config.clone().with_duration(duration).with_seed(0x5ce0);
+            let policy = RoutingPolicyKind::JoinShortestQueue;
+            let result =
+                ChainMember::homogeneous(&base, nodes, policy, graph.clone(), chains_per_sec).run();
             let power = result.nodes.total_power_w();
             let delta = shallow_power
                 .map(|b| format!("{:+.1}%", (power / b - 1.0) * 100.0))

@@ -22,23 +22,22 @@ fn main() {
         ServerConfig::c_pc1a(),
     ];
     let policies = RoutingPolicyKind::all();
+    let duration = SimDuration::from_millis(100);
 
-    for scenario in [
-        ClusterScenario::eight_node_memcached(),
-        ClusterScenario::eight_node_trough(),
+    // The `cluster-8-mid` and `cluster-8-trough` named scenarios.
+    for (name, load, total_rate_per_sec) in [
+        ("cluster-8-mid", "the mid operating point", 160_000.0),
+        ("cluster-8-trough", "trough load", 24_000.0),
     ] {
         println!(
-            "\n### {} — {} ({} nodes, {:.0} rps aggregate, {} window)",
-            scenario.name,
-            scenario.description,
-            scenario.nodes,
-            scenario.total_rate_per_sec,
-            scenario.duration,
+            "\n### {name} — 8-node memcached cluster at {load} (8 nodes, \
+             {total_rate_per_sec:.0} rps aggregate, {duration} window)"
         );
 
-        for base in &configs {
+        for config in &configs {
+            let base = config.clone().with_duration(duration).with_seed(0x5ce0);
             let mut table = TextTable::new(
-                &format!("{} under {}", scenario.name, base.platform.name),
+                &format!("{name} under {}", base.platform.name),
                 &[
                     "policy",
                     "rps",
@@ -53,7 +52,9 @@ fn main() {
             );
             let mut baseline_power: Option<f64> = None;
             for policy in policies {
-                let result = scenario.run(base, policy);
+                let spec = WorkloadSpec::memcached_etc();
+                let result =
+                    ClusterMember::homogeneous(&base, 8, policy, spec, total_rate_per_sec).run();
                 let power = result.nodes.total_power_w();
                 let delta = baseline_power
                     .map(|b| format!("{:+.1}%", (power / b - 1.0) * 100.0))

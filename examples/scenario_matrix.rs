@@ -1,37 +1,33 @@
-//! Scenario matrix: runs every scenario in the library under the three
-//! platform configurations and prints fleet-level comparison tables — the
-//! fleet-scale counterpart of the paper's single-server figures.
+//! Scenario matrix: runs every named fleet scenario (the spec files bundled
+//! into `apc-cli`) under the three platform configurations and prints
+//! fleet-level comparison tables — the fleet-scale counterpart of the
+//! paper's single-server figures.
 //!
 //! ```text
 //! cargo run --release --example scenario_matrix
 //! ```
 //!
-//! Fleets execute on all available cores ([`Fleet::run`] parallelises
-//! members over a worker pool with bit-identical results), so the full
-//! matrix completes in seconds.
+//! Fleets execute on all available cores (the run pool parallelises members
+//! with bit-identical results), so the full matrix completes in seconds.
 
 use apc::prelude::*;
+use apc_cli::runner::{plan_spec, Outcome};
+use apc_cli::spec::{PlatformKind, SpecKind};
+use apc_cli::{scenario, SCENARIOS};
 
 fn main() {
     let duration = SimDuration::from_millis(100);
-    let configs = [
-        ServerConfig::c_shallow(),
-        ServerConfig::c_deep(),
-        ServerConfig::c_pc1a(),
-    ];
-
-    for scenario in Scenario::library() {
-        let scenario = scenario.with_duration(duration);
-        println!(
-            "\n### {} — {} ({} servers, {} window)",
-            scenario.name,
-            scenario.description,
-            scenario.servers(),
-            scenario.duration,
-        );
+    for (name, description, _) in SCENARIOS {
+        let mut spec = scenario(name).expect("bundled scenario");
+        let SpecKind::Fleet { groups } = &spec.kind else {
+            continue;
+        };
+        let servers: usize = groups.iter().map(|g| g.servers).sum();
+        println!("\n### {name} — {description} ({servers} servers, {duration} window)");
+        spec.duration = duration;
 
         let mut table = TextTable::new(
-            &format!("scenario {}", scenario.name),
+            &format!("scenario {name}"),
             &[
                 "config",
                 "rps",
@@ -43,21 +39,24 @@ fn main() {
             ],
         );
         let mut baseline_power: Option<f64> = None;
-        for base in &configs {
-            let result = scenario.run(base);
-            let power = result.fleet.total_power_w();
+        for platform in PlatformKind::all() {
+            spec.platform = platform;
+            let Outcome::Runs { fleet, .. } = plan_spec(&spec, None).run() else {
+                unreachable!("fleet specs run as fleets");
+            };
+            let power = fleet.total_power_w();
             let delta = baseline_power
                 .map(|b| format!("{:+.1}%", (power / b - 1.0) * 100.0))
                 .unwrap_or_else(|| "--".to_owned());
             baseline_power = baseline_power.or(Some(power));
             table.add_row(&[
-                result.config_name.to_owned(),
-                format!("{:.0}", result.fleet.aggregate_throughput()),
+                fleet.runs[0].config_name.to_owned(),
+                format!("{:.0}", fleet.aggregate_throughput()),
                 format!("{:.1} W", power),
                 delta,
-                format!("{}", result.fleet.mean_latency()),
-                format!("{}", result.fleet.worst_p99()),
-                format!("{:.1}%", result.fleet.mean_pc1a_residency() * 100.0),
+                format!("{}", fleet.mean_latency()),
+                format!("{}", fleet.worst_p99()),
+                format!("{:.1}%", fleet.mean_pc1a_residency() * 100.0),
             ]);
         }
         println!("{}", table.render());
